@@ -13,8 +13,7 @@ from .coloring import DomainColoring, greedy_domain_decomposition, \
     single_domain_coloring
 from .curvature import CurvatureField, face_normals, gaussian_curvature, \
     gaussian_curvature_energy, vertex_normals
-from .filtering import FilterConfig, FilterTrace, gcf_filter, gcf_step, \
-    min_projection_distance, moving_direction, neighbor_normal
+from .filtering import FilterConfig, FilterTrace, gcf_filter, gcf_step
 from .generate import cone, cube, cylinder, generate_mesh, grid, icosphere
 from .io import load_mesh, load_mesh_attributes, save_mesh
 from .mesh import MeshStats, MeshTopology, TriangleMesh, build_topology, \
@@ -31,8 +30,7 @@ __all__ = [
     "gaussian_curvature_energy", "gcf_filter", "gcf_step", "generate_mesh",
     "greedy_domain_decomposition", "grid", "icosphere", "kld",
     "laplacian_smooth", "load_mesh", "load_mesh_attributes",
-    "mean_edge_length", "mesh_stats", "metrics_report",
-    "min_projection_distance", "moving_direction", "msae", "neighbor_normal",
-    "save_mesh", "single_domain_coloring", "taubin_smooth", "unique_edges",
+    "mean_edge_length", "mesh_stats", "metrics_report", "msae", "save_mesh",
+    "single_domain_coloring", "taubin_smooth", "unique_edges",
     "vertex_distances", "vertex_normals",
 ]

@@ -9,6 +9,7 @@ sets the default worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -36,25 +37,20 @@ from .noise import NoiseConfig, add_noise
 
 # 20 visually distinct colors; label -> color is a bijection even past the
 # palette size thanks to the odd-multiplier hash fallback.
-_PALETTE = [
+_PALETTE = np.array([
     (230, 25, 75), (60, 180, 75), (255, 225, 25), (0, 130, 200),
     (245, 130, 48), (145, 30, 180), (70, 240, 240), (240, 50, 230),
     (210, 245, 60), (250, 190, 190), (0, 128, 128), (230, 190, 255),
     (170, 110, 40), (255, 250, 200), (128, 0, 0), (170, 255, 195),
     (128, 128, 0), (255, 215, 180), (0, 0, 128), (128, 128, 128),
-]
+], dtype=np.int64)
 
 
 def _label_colors(labels: np.ndarray) -> np.ndarray:
-    out = np.empty((len(labels), 3), dtype=np.int64)
-    for i, lab in enumerate(labels):
-        lab = int(lab)
-        if lab < len(_PALETTE):
-            out[i] = _PALETTE[lab]
-        else:
-            h = (lab * 2654435761) & 0xFFFFFF
-            out[i] = (h >> 16, (h >> 8) & 0xFF, h & 0xFF)
-    return out
+    extra = np.arange(len(_PALETTE), int(labels.max(initial=0)) + 1, dtype=np.int64)
+    h = (extra * 2654435761) & 0xFFFFFF
+    hashed = np.column_stack([h >> 16, (h >> 8) & 0xFF, h & 0xFF])
+    return np.vstack([_PALETTE, hashed])[labels]
 
 
 def _default_threads() -> int:
@@ -76,39 +72,30 @@ def _write_manifest(path, command, args, phases, extra=None):
         fh.write("\n")
 
 
-class _Timer:
-    def __init__(self):
-        self.phases = {}
-
-    def time(self, name):
-        timer = self
-
-        class _Phase:
-            def __enter__(self):
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.phases[name] = time.perf_counter() - self.start
-
-        return _Phase()
+@contextlib.contextmanager
+def _timed(phases, name):
+    """Record the wall time of the enclosed block as phases[name]."""
+    start = time.perf_counter()
+    yield
+    phases[name] = time.perf_counter() - start
 
 
 def cmd_filter(args) -> int:
     if args.iters < 1:
         print("error: --iters must be >= 1", file=sys.stderr)
         return 3
-    timer = _Timer()
-    with timer.time("load"):
+    phases = {}
+    with _timed(phases, "load"):
         mesh = load_mesh(args.input)
-    with timer.time("topology"):
+    with _timed(phases, "topology"):
         topology = build_topology(mesh)
-    with timer.time("color"):
+    with _timed(phases, "color"):
         coloring = greedy_domain_decomposition(topology)
     config = FilterConfig(iterations=args.iters, threads=args.threads,
                           capture_trace=args.trace is not None)
-    with timer.time("filter"):
+    with _timed(phases, "filter"):
         result, trace = gcf_filter(mesh, topology, coloring, config)
-    with timer.time("save"):
+    with _timed(phases, "save"):
         save_mesh(result, args.output)
     if args.trace is not None:
         with open(args.trace, "w", newline="\n") as fh:
@@ -116,7 +103,7 @@ def cmd_filter(args) -> int:
             for i, value in enumerate(trace.gce_per_iteration):
                 fh.write(f"{i},{value:.17g}\n")
     if args.manifest is not None:
-        _write_manifest(args.manifest, "filter", args, timer.phases,
+        _write_manifest(args.manifest, "filter", args, phases,
                         {"input": str(args.input), "output": str(args.output),
                          "domains": coloring.domain_count})
     return 0
@@ -145,18 +132,18 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    timer = _Timer()
-    with timer.time("load"):
+    phases = {}
+    with _timed(phases, "load"):
         mesh = load_mesh(args.input)
-    with timer.time("topology"):
+    with _timed(phases, "topology"):
         topology = build_topology(mesh)
     config = NoiseConfig(sigma_factor=args.sigma, seed=args.seed, mode=args.mode)
-    with timer.time("noise"):
+    with _timed(phases, "noise"):
         noisy = add_noise(mesh, topology, config)
-    with timer.time("save"):
+    with _timed(phases, "save"):
         save_mesh(noisy, args.output)
     if args.manifest is not None:
-        _write_manifest(args.manifest, "noise", args, timer.phases,
+        _write_manifest(args.manifest, "noise", args, phases,
                         {"seed": args.seed})
     return 0
 
@@ -171,13 +158,13 @@ def cmd_gen(args) -> int:
         value = getattr(args, name)
         if value is not None:
             params[name] = value
-    timer = _Timer()
-    with timer.time("generate"):
+    phases = {}
+    with _timed(phases, "generate"):
         mesh = generate_mesh(args.kind, **params)
-    with timer.time("save"):
+    with _timed(phases, "save"):
         save_mesh(mesh, args.output)
     if args.manifest is not None:
-        _write_manifest(args.manifest, "gen", args, timer.phases,
+        _write_manifest(args.manifest, "gen", args, phases,
                         {"vertices": mesh.vertex_count, "faces": mesh.face_count})
     return 0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh
+from .mesh import MeshTopology, TriangleMesh, _cross3
 
 
 @dataclass(eq=False)
@@ -42,7 +42,7 @@ def face_normals(mesh: TriangleMesh):
     v = mesh.vertices
     f = mesh.faces
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    cross = np.cross(p1 - p0, p2 - p0)
+    cross = _cross3(p1 - p0, p2 - p0)
     mag = np.sqrt((cross * cross).sum(axis=1))
     areas = 0.5 * mag
     degenerate = mag == 0.0
@@ -76,22 +76,19 @@ def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
 def deficit_and_ring_area(positions: np.ndarray, faces: np.ndarray, vertex_count: int):
     """Angular deficit and summed incident-triangle area per vertex.
 
-    Shared by the public curvature field and the filter's energy trace.
     Vertices without incident faces keep the full 2*pi deficit and zero
     area; callers decide how to interpret them.
     """
     deficit = np.full(vertex_count, 2.0 * np.pi)
     ring_area = np.zeros(vertex_count)
-    if len(faces) == 0:
-        return deficit, ring_area
     p = [positions[faces[:, c]] for c in range(3)]
-    cross = np.cross(p[1] - p[0], p[2] - p[0])
-    areas = 0.5 * np.sqrt((cross * cross).sum(axis=1))
     for c in range(3):
         e1 = p[(c + 1) % 3] - p[c]
         e2 = p[(c + 2) % 3] - p[c]
-        cr = np.cross(e1, e2)
+        cr = _cross3(e1, e2)
         sin_term = np.sqrt((cr * cr).sum(axis=1))
+        if c == 0:
+            areas = 0.5 * sin_term  # corner 0 spans the face's own edges
         cos_term = (e1 * e2).sum(axis=1)
         angles = np.arctan2(sin_term, cos_term)
         deficit -= np.bincount(faces[:, c], weights=angles, minlength=vertex_count)
@@ -99,19 +96,26 @@ def deficit_and_ring_area(positions: np.ndarray, faces: np.ndarray, vertex_count
     return deficit, ring_area
 
 
-def gaussian_curvature(mesh: TriangleMesh, topology: MeshTopology) -> CurvatureField:
-    """Discrete Gaussian curvature of every vertex (boundary vertices flagged)."""
-    deficit, ring_area = deficit_and_ring_area(
-        mesh.vertices, mesh.faces, mesh.vertex_count
-    )
+def curvature_field(positions: np.ndarray, faces: np.ndarray,
+                    is_boundary: np.ndarray) -> CurvatureField:
+    """Curvature field of the given positions; is_boundary is stored as is.
+
+    Shared by the public curvature field and the filter's energy trace.
+    """
+    deficit, ring_area = deficit_and_ring_area(positions, faces, len(positions))
     curvature = np.zeros_like(deficit)
     np.divide(deficit, ring_area, out=curvature, where=ring_area > 0)
     return CurvatureField(
         curvature=curvature,
         ring_area=ring_area,
         deficit=deficit,
-        is_boundary=topology.is_boundary.copy(),
+        is_boundary=is_boundary,
     )
+
+
+def gaussian_curvature(mesh: TriangleMesh, topology: MeshTopology) -> CurvatureField:
+    """Discrete Gaussian curvature of every vertex (boundary vertices flagged)."""
+    return curvature_field(mesh.vertices, mesh.faces, topology.is_boundary.copy())
 
 
 def gaussian_curvature_energy(field: CurvatureField, include_boundary: bool = False) -> float:

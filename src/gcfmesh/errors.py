@@ -57,5 +57,5 @@ class BadResolution(MeshError):
     """Mesh generator resolution below the supported minimum."""
 
 
-class DegenerateNeighborhood(MeshError):
-    """Every candidate normal in a 1-ring neighborhood is degenerate."""
+class NonFiniteError(MeshError):
+    """A vertex coordinate is NaN or infinite."""

@@ -33,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import DomainColoring
-from .curvature import deficit_and_ring_area
-from .errors import DegenerateNeighborhood
-from .mesh import MeshTopology, TriangleMesh, mean_edge_length, mesh_stats
+from .curvature import curvature_field, gaussian_curvature_energy
+from .mesh import MeshTopology, TriangleMesh, _cross3, mean_edge_length
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -67,79 +66,10 @@ class FilterTrace:
     gce_per_iteration: list
 
 
-def moving_direction(vertex: int, positions: np.ndarray, topology: MeshTopology,
-                     edge_scale: float):
-    """Unit direction from the vertex toward its 1-ring centroid.
-
-    Returns None when the vertex already sits at the centroid (differential
-    coordinate shorter than 1e-14 * edge_scale).
-    """
-    ring = topology.neighbors[vertex]
-    if len(ring) == 0:
-        raise ValueError(f"vertex {vertex} has no neighbors")
-    delta = positions[vertex] - positions[ring].mean(axis=0)
-    mag = float(np.linalg.norm(delta))
-    if mag < DIRECTION_TOL * edge_scale:
-        return None
-    return -delta / mag
-
-
-def neighbor_normal(vertex: int, k: int, positions: np.ndarray,
-                    topology: MeshTopology, edge_scale: float):
-    """Cross-product normal at the k-th ring neighbor of `vertex`.
-
-    The two edges run from that neighbor to its cyclic predecessor and
-    successor in the ring. Returns None for (near-)collinear triples.
-    """
-    ring = topology.neighbors[vertex]
-    m = len(ring)
-    vj = positions[ring[k]]
-    e1 = positions[ring[(k - 1) % m]] - vj
-    e2 = positions[ring[(k + 1) % m]] - vj
-    cr = np.cross(e1, e2)
-    mag = float(np.linalg.norm(cr))
-    if mag < NORMAL_TOL * edge_scale * edge_scale:
-        return None
-    return cr / mag
-
-
-def min_projection_distance(vertex: int, positions: np.ndarray,
-                            topology: MeshTopology, vertex_normal,
-                            edge_scale: float) -> float:
-    """Smallest |<normal, ring edge>| over all candidate normals and edges.
-
-    The candidate set is the given vertex normal (skipped when None) plus
-    every non-degenerate neighbor normal. Raises DegenerateNeighborhood when
-    the whole set is empty.
-    """
-    ring = topology.neighbors[vertex]
-    normals = []
-    if vertex_normal is not None:
-        normals.append(np.asarray(vertex_normal, dtype=np.float64))
-    for k in range(len(ring)):
-        nk = neighbor_normal(vertex, k, positions, topology, edge_scale)
-        if nk is not None:
-            normals.append(nk)
-    if not normals:
-        raise DegenerateNeighborhood(f"vertex {vertex}: no usable normals")
-    edges = positions[ring] - positions[vertex]
-    proj = np.abs(np.stack(normals) @ edges.T)
-    return float(proj.min())
-
-
-class _Group:
-    """Movable vertices of one domain sharing a ring size d."""
-
-    __slots__ = ("rows", "rings")
-
-    def __init__(self, rows, rings):
-        self.rows = rows
-        self.rings = rings
-
-
 def _build_plan(topology: MeshTopology, coloring: DomainColoring):
     """Group each domain's movable vertices by ring size and pre-gather the
-    dense ring index blocks the kernel consumes."""
+    dense ring index blocks the kernel consumes: one (rows, rings) pair per
+    (domain, degree) group."""
     movable = (~topology.is_boundary) & topology.is_manifold_fan \
         & (topology.ring_sizes > 0)
     plan = []
@@ -155,24 +85,9 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
                 rings = topology.ring_flat[
                     topology.ring_indptr[rows][:, None] + cols[None, :]
                 ]
-                groups.append(_Group(rows, rings))
+                groups.append((rows, rings))
         plan.append(groups)
     return plan
-
-
-def _cross3(a, b):
-    """Component-wise cross product along the last axis (length 3).
-
-    Equivalent to np.cross but without its dtype/axis plumbing, which
-    dominates kernel time on large blocks.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
 
 
 def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
@@ -221,34 +136,61 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
 
 
 def _run_group(positions, snapshot, group, dir_tol, normal_tol, pool, workers):
-    m = len(group.rows)
+    rows, rings = group
+    m = len(rows)
     if pool is None or m < 2 * _CHUNK_MIN:
-        out = _kernel(snapshot, group.rows, group.rings, dir_tol, normal_tol)
+        out = _kernel(snapshot, rows, rings, dir_tol, normal_tol)
     else:
         out = np.empty((m, 3))
         bounds = np.linspace(0, m, min(workers, m // _CHUNK_MIN) + 1).astype(int)
 
         def work(a, b):
-            out[a:b] = _kernel(snapshot, group.rows[a:b], group.rings[a:b],
+            out[a:b] = _kernel(snapshot, rows[a:b], rings[a:b],
                                dir_tol, normal_tol)
 
         wait([pool.submit(work, a, b) for a, b in zip(bounds[:-1], bounds[1:])])
-    positions[group.rows] = out
-
-
-def _sweep(positions, plan, dir_tol, normal_tol, pool, workers):
-    """One full iteration: every domain in ascending label order."""
-    for groups in plan:
-        if not groups:
-            continue
-        snapshot = positions.copy()
-        for group in groups:
-            _run_group(positions, snapshot, group, dir_tol, normal_tol,
-                       pool, workers)
+    positions[rows] = out
 
 
 def resolve_threads(threads: int) -> int:
     return threads if threads > 0 else (os.cpu_count() or 1)
+
+
+def _drive(positions, topology, coloring, edge_scale, threads, iterations,
+           capture_trace):
+    """Sweep `positions` in place `iterations` times; each sweep visits
+    every domain in ascending label order.
+
+    Returns a FilterTrace of the interior curvature energy before the first
+    and after every sweep when capture_trace is set, else None.
+    """
+    dir_tol = DIRECTION_TOL * edge_scale
+    normal_tol = NORMAL_TOL * edge_scale * edge_scale
+    plan = _build_plan(topology, coloring)
+    workers = resolve_threads(threads)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    trace = [_interior_energy(positions, topology)] if capture_trace else None
+    try:
+        for _ in range(iterations):
+            for groups in plan:
+                if not groups:
+                    continue
+                snapshot = positions.copy()
+                for group in groups:
+                    _run_group(positions, snapshot, group, dir_tol,
+                               normal_tol, pool, workers)
+            if trace is not None:
+                trace.append(_interior_energy(positions, topology))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return FilterTrace(trace) if trace is not None else None
+
+
+def _interior_energy(positions, topology):
+    return gaussian_curvature_energy(
+        curvature_field(positions, topology.faces, topology.is_boundary)
+    )
 
 
 def gcf_step(positions: np.ndarray, topology: MeshTopology,
@@ -262,25 +204,8 @@ def gcf_step(positions: np.ndarray, topology: MeshTopology,
     positions = np.array(positions, dtype=np.float64)
     if edge_scale is None:
         edge_scale = mean_edge_length(positions, topology.faces)
-    plan = _build_plan(topology, coloring)
-    workers = resolve_threads(threads)
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    try:
-        _sweep(positions, plan, DIRECTION_TOL * edge_scale,
-               NORMAL_TOL * edge_scale * edge_scale, pool, workers)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    _drive(positions, topology, coloring, edge_scale, threads, 1, False)
     return positions
-
-
-def _interior_energy(positions, topology):
-    deficit, ring_area = deficit_and_ring_area(
-        positions, topology.faces, len(positions)
-    )
-    curvature = np.zeros_like(deficit)
-    np.divide(deficit, ring_area, out=curvature, where=ring_area > 0)
-    return float(np.abs(curvature[~topology.is_boundary]).sum())
 
 
 def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
@@ -293,20 +218,7 @@ def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
     Output positions are identical for any worker count.
     """
     positions = mesh.vertices.copy()
-    edge_scale = mesh_stats(mesh).mean_edge_length
-    dir_tol = DIRECTION_TOL * edge_scale
-    normal_tol = NORMAL_TOL * edge_scale * edge_scale
-    plan = _build_plan(topology, coloring)
-    workers = resolve_threads(config.threads)
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    trace = [_interior_energy(positions, topology)] if config.capture_trace else None
-    try:
-        for _ in range(config.iterations):
-            _sweep(positions, plan, dir_tol, normal_tol, pool, workers)
-            if trace is not None:
-                trace.append(_interior_energy(positions, topology))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    filtered = TriangleMesh(positions, mesh.faces.copy())
-    return filtered, (FilterTrace(trace) if trace is not None else None)
+    trace = _drive(positions, topology, coloring,
+                   mean_edge_length(mesh.vertices, mesh.faces),
+                   config.threads, config.iterations, config.capture_trace)
+    return TriangleMesh(positions, mesh.faces.copy()), trace

@@ -261,8 +261,8 @@ def load_mesh(path, fmt: str = "auto") -> TriangleMesh:
     """Load a triangle mesh from an ASCII OBJ, OFF, or PLY file.
 
     Polygonal faces are fan-triangulated. Raises ParseError on malformed
-    input, FaceIndexError on out-of-range indices, UnsupportedFormat for
-    unknown or binary formats.
+    input, FaceIndexError on out-of-range indices, NonFiniteError on NaN or
+    infinite coordinates, UnsupportedFormat for unknown or binary formats.
     """
     mesh, _, _ = load_mesh_attributes(path, fmt)
     return mesh

@@ -2,18 +2,26 @@
 
 The mesh is stored as a flat (n, 3) float64 vertex array plus an (f, 3)
 int32 face-index array; the winding of each face is kept exactly as given.
-Topology construction orders every vertex's 1-ring by walking the fan of
-incident faces, flags boundary vertices (open fans) and non-manifold
-vertices (anything that is not a single open or closed fan).
+
+Topology comes from one table of the 3f corner half-edges (center, start,
+end, face) sorted by the int64 key center*n + start; each half-edge's
+successor around its center starts where it ends and is found with
+searchsorted. Fans in which every ring vertex starts and ends at most one
+half-edge, with at most one open head, are walked in lockstep: closed fans
+from their smallest start, open fans (boundary vertices) from their head.
+The rest (inconsistent winding, three faces on one edge, several sheets at
+one vertex, chains or cycles that stop short) go to a winding-agnostic
+walk, and fans it cannot order are flagged non-manifold with a sorted ring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyMeshError, FaceIndexError
+from .errors import EmptyMeshError, FaceIndexError, NonFiniteError
 
 
 @dataclass(eq=False)
@@ -23,8 +31,8 @@ class TriangleMesh:
     vertices : (n, 3) float64 positions in model units.
     faces    : (f, 3) int32 vertex indices, 0-based, winding preserved.
 
-    Construction validates that every face index is in range and that no
-    face repeats a vertex.
+    Construction validates that every coordinate is finite, that every face
+    index is in range and that no face repeats a vertex.
     """
 
     vertices: np.ndarray
@@ -37,6 +45,9 @@ class TriangleMesh:
         self.faces = np.ascontiguousarray(
             np.asarray(self.faces, dtype=np.int32).reshape(-1, 3)
         )
+        if not np.isfinite(self.vertices).all():
+            bad = int(np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0])
+            raise NonFiniteError(f"vertex {bad} has a non-finite coordinate")
         if self.faces.size:
             lo = int(self.faces.min())
             hi = int(self.faces.max())
@@ -86,9 +97,10 @@ class MeshTopology:
     is_manifold_fan : True iff the incident faces form a single open or
                       closed fan.
 
-    The structure is immutable after construction and safe to share across
-    threads. `faces` keeps a reference to the defining face array so that
-    consumers (filtering, curvature) need only positions plus a topology.
+    `neighbors` and `vertex_faces` are built on first access. The structure
+    is immutable after construction and safe to share across threads.
+    `faces` keeps a reference to the defining face array so that consumers
+    (filtering, curvature) need only positions plus a topology.
     """
 
     def __init__(self, faces, ring_flat, ring_indptr, face_flat, face_indptr,
@@ -101,52 +113,20 @@ class MeshTopology:
         self.is_boundary = is_boundary
         self.is_manifold_fan = is_manifold_fan
         self.ring_sizes = np.diff(ring_indptr)
-        rp = ring_indptr.tolist()
-        fp = face_indptr.tolist()
-        self.neighbors = [ring_flat[rp[i]:rp[i + 1]] for i in range(len(rp) - 1)]
-        self.vertex_faces = [face_flat[fp[i]:fp[i + 1]] for i in range(len(fp) - 1)]
+
+    @cached_property
+    def neighbors(self):
+        rp = self.ring_indptr.tolist()
+        return [self.ring_flat[rp[i]:rp[i + 1]] for i in range(len(rp) - 1)]
+
+    @cached_property
+    def vertex_faces(self):
+        fp = self.face_indptr.tolist()
+        return [self.face_flat[fp[i]:fp[i + 1]] for i in range(len(fp) - 1)]
 
     @property
     def vertex_count(self) -> int:
         return len(self.is_boundary)
-
-
-def _try_directed_walk(starts, ends, face_ids):
-    """Follow ring edges in face-winding order; None if winding is inconsistent."""
-    m = len(starts)
-    out = {}
-    for u, w, f in zip(starts, ends, face_ids):
-        if u in out:
-            return None
-        out[u] = (w, f)
-    end_set = set(ends)
-    heads = [u for u in out if u not in end_set]
-    if len(heads) == 1:
-        start = heads[0]
-        closed = False
-    elif not heads:
-        start = min(out)
-        closed = True
-    else:
-        return None
-    ring = [start]
-    face_order = []
-    node = start
-    while node in out and len(face_order) < m:
-        node, f = out.pop(node)
-        face_order.append(f)
-        if node == start:
-            break
-        ring.append(node)
-    if len(face_order) != m or out:
-        return None
-    if closed:
-        if node != start or len(ring) != m:
-            return None
-        return ring, face_order, False
-    if node == start or len(ring) != m + 1:
-        return None
-    return ring, face_order, True
 
 
 def _try_undirected_walk(starts, ends, face_ids):
@@ -164,14 +144,10 @@ def _try_undirected_walk(starts, ends, face_ids):
     if any(len(nbrs) > 2 for nbrs in adj.values()):
         return None
     loose = sorted(node for node, nbrs in adj.items() if len(nbrs) == 1)
-    if len(loose) == 2:
-        start = loose[0]
-        boundary = True
-    elif not loose:
-        start = min(adj)
-        boundary = False
-    else:
+    if len(loose) not in (0, 2):
         return None
+    boundary = bool(loose)
+    start = loose[0] if boundary else min(adj)
     ring = [start]
     face_order = []
     prev = None
@@ -186,36 +162,18 @@ def _try_undirected_walk(starts, ends, face_ids):
                 return None
             nxt = cand[0]
         key = (node, nxt) if node < nxt else (nxt, node)
-        f = edge_face.pop(key, None)
-        if f is None:
-            return None
-        face_order.append(f)
+        face_order.append(edge_face.pop(key))
         prev, node = node, nxt
         if not boundary and node == start:
             break
         ring.append(node)
     if len(face_order) != m or edge_face:
         return None
-    want = m + 1 if boundary else m
-    if len(ring) != want:
-        return None
     return ring, face_order, boundary
 
 
-def _walk_fan(starts, ends, face_ids):
-    """Order one vertex fan. Returns (ring, face_order, is_boundary, is_manifold)."""
-    res = _try_directed_walk(starts, ends, face_ids)
-    if res is None:
-        res = _try_undirected_walk(starts, ends, face_ids)
-    if res is None:
-        ring = sorted(set(starts) | set(ends))
-        return ring, sorted(face_ids), False, False
-    ring, face_order, boundary = res
-    return ring, face_order, boundary, True
-
-
 def build_topology(mesh: TriangleMesh) -> MeshTopology:
-    """Build ordered 1-rings by walking face adjacency around each vertex.
+    """Build ordered 1-rings from the sorted corner half-edge table.
 
     Non-manifold configurations are flagged, never rejected: their neighbor
     list falls back to the sorted adjacent-vertex set so that adjacency
@@ -223,76 +181,135 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     """
     n = mesh.vertex_count
     faces = mesh.faces
-    if len(faces):
-        center = faces.ravel()
-        ring_start = faces[:, [1, 2, 0]].ravel()
-        ring_end = faces[:, [2, 0, 1]].ravel()
-        order = np.argsort(center, kind="stable")
-        counts = np.bincount(center, minlength=n)
-        su = ring_start[order].tolist()
-        sw = ring_end[order].tolist()
-        sf = (order // 3).tolist()
-    else:
-        counts = np.zeros(n, dtype=np.int64)
-        su = sw = sf = []
+    center = faces.ravel().astype(np.int64)
+    start = faces[:, [1, 2, 0]].ravel()
+    end = faces[:, [2, 0, 1]].ravel()
+    order = np.argsort(center * n + start, kind="stable")
+    center, start, end = center[order], start[order], end[order]
+    face = (order // 3).astype(np.int32)
+    key = center * n + start
+    counts = np.bincount(center, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    ptr = indptr.tolist()
 
-    ring_flat: list[int] = []
-    face_flat: list[int] = []
+    # next half-edge around the same center: the one starting where this ends
+    want = center * n + end
+    nxt = np.minimum(np.searchsorted(key, want), len(key) - 1)
+    nxt[key[nxt] != want] = -1
+    incoming = np.bincount(nxt[nxt >= 0], minlength=len(key))
+    tails = np.bincount(center[nxt < 0], minlength=n)
+    simple = counts > 0
+    simple[center[1:][key[1:] == key[:-1]]] = False  # a ring vertex starts twice
+    simple[center[incoming > 1]] = False             # ... or ends twice
+    first = indptr[:-1].copy()
+    heads = np.flatnonzero(incoming == 0)
+    first[center[heads]] = heads
+
+    # walk every simple fan in lockstep; walk[indptr[i] + k] is the k-th
+    # half-edge of fan i, and fans whose chain or cycle is short drop out
+    walk = np.empty(len(key), dtype=np.int64)
+    fans = np.flatnonzero(simple)
+    cur = first[fans]
+    k = 0
+    while len(fans):
+        walk[indptr[fans] + k] = cur
+        k += 1
+        more = counts[fans] > k
+        fans = fans[more]
+        cur = nxt[cur[more]]
+        ok = (cur >= 0) & (cur != first[fans])
+        simple[fans[~ok]] = False
+        fans = fans[ok]
+        cur = cur[ok]
+
+    is_boundary = simple & (tails == 1)
+    is_manifold = simple.copy()
+    ring_sizes = np.where(simple, counts + is_boundary, 0)
+    fallback = {}
+    for i in np.flatnonzero((counts > 0) & ~simple).tolist():
+        lo, hi = indptr[i], indptr[i + 1]
+        su = start[lo:hi].tolist()
+        sw = end[lo:hi].tolist()
+        sf = face[lo:hi].tolist()
+        res = _try_undirected_walk(su, sw, sf)
+        is_manifold[i] = res is not None
+        if res is None:
+            res = sorted(set(su) | set(sw)), sorted(sf), False
+        fallback[i] = res
+        ring_sizes[i] = len(res[0])
+        is_boundary[i] = res[2]
+
     ring_indptr = np.zeros(n + 1, dtype=np.int64)
-    face_indptr = np.zeros(n + 1, dtype=np.int64)
-    is_boundary = np.zeros(n, dtype=bool)
-    is_manifold = np.zeros(n, dtype=bool)
-    for i in range(n):
-        lo, hi = ptr[i], ptr[i + 1]
-        if lo != hi:
-            ring, face_order, boundary, manifold = _walk_fan(
-                su[lo:hi], sw[lo:hi], sf[lo:hi]
-            )
-            ring_flat.extend(ring)
-            face_flat.extend(face_order)
-            is_boundary[i] = boundary
-            is_manifold[i] = manifold
-        ring_indptr[i + 1] = len(ring_flat)
-        face_indptr[i + 1] = len(face_flat)
+    np.cumsum(ring_sizes, out=ring_indptr[1:])
+    ring_flat = np.empty(ring_indptr[-1], dtype=np.int32)
+    face_flat = np.empty(len(key), dtype=np.int32)
+    slots = np.flatnonzero(simple[center])
+    ring_flat[slots + (ring_indptr - indptr)[center[slots]]] = start[walk[slots]]
+    face_flat[slots] = face[walk[slots]]
+    tail_of = np.flatnonzero(is_boundary & simple)
+    ring_flat[ring_indptr[tail_of + 1] - 1] = end[walk[indptr[tail_of + 1] - 1]]
+    for i, (ring, face_order, _) in fallback.items():
+        ring_flat[ring_indptr[i]:ring_indptr[i + 1]] = ring
+        face_flat[indptr[i]:indptr[i + 1]] = face_order
     return MeshTopology(
         faces=faces,
-        ring_flat=np.asarray(ring_flat, dtype=np.int32),
+        ring_flat=ring_flat,
         ring_indptr=ring_indptr,
-        face_flat=np.asarray(face_flat, dtype=np.int32),
-        face_indptr=face_indptr,
+        face_flat=face_flat,
+        face_indptr=indptr,
         is_boundary=is_boundary,
         is_manifold_fan=is_manifold,
     )
 
 
 def unique_edges(faces: np.ndarray, return_counts: bool = False):
-    """Undirected edge set of a face array, each edge once (sorted index pairs)."""
+    """Undirected edge set of a face array, each edge once (sorted index pairs).
+
+    Each edge is keyed as min*n + max in int64, so a 1-D unique yields the
+    same lexicographic order as a row-wise unique of the index pairs.
+    """
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e = np.sort(e, axis=1)
-    return np.unique(e, axis=0, return_counts=return_counts)
+    n = int(faces.max()) + 1 if faces.size else 1
+    keys = e.min(axis=1).astype(np.int64) * n + e.max(axis=1)
+    keys, counts = np.unique(keys, return_counts=True)
+    edges = np.column_stack([keys // n, keys % n]).astype(faces.dtype)
+    return (edges, counts) if return_counts else edges
 
 
-def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
-    """Mean Euclidean length over unique undirected edges."""
-    edges = unique_edges(faces)
+def _mean_length(positions, edges):
+    if len(edges) == 0:
+        raise EmptyMeshError("mesh has no faces")
     seg = positions[edges[:, 0]] - positions[edges[:, 1]]
     return float(np.sqrt((seg * seg).sum(axis=1)).mean())
 
 
+def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
+    """Mean length over unique undirected edges; EmptyMeshError without faces."""
+    return _mean_length(positions, unique_edges(faces))
+
+
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     """Vertex/face/boundary counts plus the mean edge length."""
-    if mesh.face_count == 0:
-        raise EmptyMeshError("mesh has no faces")
     edges, counts = unique_edges(mesh.faces, return_counts=True)
-    seg = mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]]
-    lengths = np.sqrt((seg * seg).sum(axis=1))
     boundary_vertices = np.unique(edges[counts == 1])
     return MeshStats(
-        mean_edge_length=float(lengths.mean()),
+        mean_edge_length=_mean_length(mesh.vertices, edges),
         vertex_count=mesh.vertex_count,
         face_count=mesh.face_count,
         boundary_vertex_count=int(len(boundary_vertices)),
     )
+
+
+def _cross3(a, b):
+    """Component-wise cross product along the last axis (length 3).
+
+    Equivalent to np.cross but without its dtype/axis plumbing, which
+    dominates kernel time on large blocks.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out

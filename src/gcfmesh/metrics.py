@@ -18,7 +18,7 @@ from .curvature import CurvatureField, face_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import TriangleMesh, build_topology
+from .mesh import TriangleMesh, _cross3, build_topology
 
 _KLD_EPS = 1e-12
 
@@ -47,7 +47,7 @@ def _normal_angles(processed: TriangleMesh, original: TriangleMesh):
     np_proc, _, deg_p = face_normals(processed)
     np_orig, _, deg_o = face_normals(original)
     ok = ~(deg_p | deg_o)
-    cr = np.cross(np_proc[ok], np_orig[ok])
+    cr = _cross3(np_proc[ok], np_orig[ok])
     sin_term = np.sqrt((cr * cr).sum(axis=1))
     cos_term = (np_proc[ok] * np_orig[ok]).sum(axis=1)
     return np.arctan2(sin_term, cos_term), int((~ok).sum())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import vertex_normals
-from .mesh import MeshTopology, TriangleMesh, mesh_stats
+from .mesh import MeshTopology, TriangleMesh, mean_edge_length
 
 MODES = ("along_normal", "isotropic")
 
@@ -40,7 +40,7 @@ def add_noise(mesh: TriangleMesh, topology: MeshTopology,
     (vertex_count, 3) block. Vertices with a degenerate normal receive no
     displacement in along_normal mode.
     """
-    sigma = config.sigma_factor * mesh_stats(mesh).mean_edge_length
+    sigma = config.sigma_factor * mean_edge_length(mesh.vertices, mesh.faces)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = mesh.vertex_count
     if config.mode == "along_normal":

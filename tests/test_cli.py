@@ -221,3 +221,36 @@ def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.obj"
     bad.write_text("v 1 2\n")
     assert run("stats", "-i", bad) == 2
+
+
+@pytest.mark.parametrize("command", ["filter", "stats"])
+@pytest.mark.parametrize("token", ["inf", "nan"])
+def test_non_finite_obj_exit_code(tmp_path, capsys, command, token):
+    bad = tmp_path / "bad.obj"
+    bad.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 {token}\nf 1 2 3\n")
+    argv = ["-i", bad]
+    if command == "filter":
+        argv += ["-o", tmp_path / "o.obj", "--iters", "1"]
+    assert run(command, *argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_label_colors_match_palette_and_hash():
+    from gcfmesh.cli import _PALETTE, _label_colors
+
+    labels = np.arange(41, dtype=np.int32)[::-1]
+    expect = []
+    for lab in labels.tolist():
+        if lab < len(_PALETTE):
+            expect.append(tuple(_PALETTE[lab].tolist()))
+        else:
+            h = (lab * 2654435761) & 0xFFFFFF
+            expect.append((h >> 16, (h >> 8) & 0xFF, h & 0xFF))
+    got = _label_colors(labels)
+    assert got.dtype == np.int64
+    assert [tuple(c) for c in got.tolist()] == expect
+    assert _label_colors(np.array([3, 0], dtype=np.int32)).tolist() == [
+        [0, 130, 200], [230, 25, 75]]

@@ -9,13 +9,9 @@ from gcfmesh import (
     gcf_filter,
     gcf_step,
     greedy_domain_decomposition,
+    mean_edge_length,
     mesh_stats,
-    min_projection_distance,
-    moving_direction,
-    neighbor_normal,
-    vertex_normals,
 )
-from gcfmesh.errors import DegenerateNeighborhood
 
 from bruteforce import reference_step
 from conftest import random_meshes
@@ -34,21 +30,32 @@ def _grid_interior_vertex(mesh, n):
     return (n // 2) * (n + 1) + n // 2
 
 
+def _step(mesh, positions=None, edge_scale=None):
+    """One gcf_step over the mesh's connectivity, from `positions` if given;
+    returns (new positions, topology, coloring)."""
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    pos = mesh.vertices if positions is None else positions
+    out = gcf_step(pos, topo, col, edge_scale=edge_scale)
+    return out, topo, col
+
+
 # --- moving direction -------------------------------------------------------
 
 
 def test_moving_direction_pyramid_apex(square_pyramid):
-    topo = build_topology(square_pyramid)
-    d = moving_direction(4, square_pyramid.vertices, topo, 1.0)
-    assert np.allclose(d, (0, 0, -1), atol=1e-15)
+    # the apex moves straight down by its height onto the base plane
+    out, _, _ = _step(square_pyramid)
+    assert out[4].tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(out[:4], square_pyramid.vertices[:4])
 
 
 def test_moving_direction_none_at_centroid():
+    # a vertex at its ring centroid has no moving direction
     mesh = g.grid(4)
-    topo = build_topology(mesh)
-    el = mesh_stats(mesh).mean_edge_length
     i = _grid_interior_vertex(mesh, 4)
-    assert moving_direction(i, mesh.vertices, topo, el) is None
+    out, _, _ = _step(mesh)
+    assert np.array_equal(out[i], mesh.vertices[i])
 
 
 def test_moving_direction_displaced_above_plane():
@@ -56,38 +63,30 @@ def test_moving_direction_displaced_above_plane():
     i = _grid_interior_vertex(mesh, 4)
     verts = mesh.vertices.copy()
     verts[i, 2] += 0.5
-    topo = build_topology(mesh)
-    d = moving_direction(i, verts, topo, 1.0)
-    assert np.allclose(d, (0, 0, -1), atol=1e-15)
+    out, topo, col = _step(mesh, verts, edge_scale=1.0)
+    assert np.abs(out[i, :2] - verts[i, :2]).max() <= 1e-15
+    assert out[i, 2] < 0.5
+    expect = reference_step(verts, topo, col, 1.0)
+    assert np.abs(out - expect).max() < 1e-12
 
 
 # --- neighbor normal --------------------------------------------------------
 
 
 def test_neighbor_normal_planar_ring():
+    # shifted within the plane, the vertex has a direction, but the planar
+    # ring's neighbor normals are perpendicular to every ring edge
     mesh = g.grid(4)
-    topo = build_topology(mesh)
     i = _grid_interior_vertex(mesh, 4)
-    for k in range(len(topo.neighbors[i])):
-        n = neighbor_normal(i, k, mesh.vertices, topo, 1.0)
-        assert n is not None
-        assert abs(n[2]) == pytest.approx(1.0)
-        assert n[0] == 0.0 and n[1] == 0.0
-
-
-def test_neighbor_normal_collinear_none():
-    center = (0.0, 0.0, 0.0)
-    ring = [(1.0, 0, 0), (2.0, 0, 0), (3.0, 0, 0), (4.0, 0, 0)]
-    fan = _closed_fan(center, ring)
-    topo = build_topology(fan)
-    for k in range(4):
-        assert neighbor_normal(0, k, fan.vertices, topo, 1.0) is None
+    verts = mesh.vertices.copy()
+    verts[i, 0] += 0.1
+    out, _, _ = _step(mesh, verts, edge_scale=1.0)
+    assert np.array_equal(out, verts)
 
 
 def test_neighbor_normal_cylinder_axial_neighbor():
-    # plus-shaped ring on a unit cylinder: the axial neighbor's normal is
-    # symmetric about the radial plane (tangential component exactly zero)
-    # and radial in the fine-discretization limit
+    # plus-shaped ring on a unit cylinder: the axial neighbors' normals are
+    # radial, perpendicular to the axial ring edges, so the center stays
     delta, h = 0.1, 0.1
     center = (1.0, 0.0, 0.0)
     east = (np.cos(delta), np.sin(delta), 0.0)
@@ -95,16 +94,10 @@ def test_neighbor_normal_cylinder_axial_neighbor():
     up = (1.0, 0.0, h)
     down = (1.0, 0.0, -h)
     fan = _closed_fan(center, [east, up, west, down])
-    topo = build_topology(fan)
-    n_up = neighbor_normal(0, 1, fan.vertices, topo, 0.1)
-    # brute-force oracle
-    e1 = np.asarray(east) - np.asarray(up)
-    e2 = np.asarray(west) - np.asarray(up)
-    expect = np.cross(e1, e2)
-    expect /= np.linalg.norm(expect)
-    assert np.allclose(n_up, expect, atol=1e-15)
-    assert n_up[1] == 0.0  # tangential component vanishes by symmetry
-    assert abs(float(np.dot(n_up, (1, 0, 0)))) > 0.99
+    out, topo, col = _step(fan, edge_scale=0.1)
+    assert np.array_equal(out, fan.vertices)
+    expect = reference_step(fan.vertices, topo, col, 0.1)
+    assert np.array_equal(expect, fan.vertices)
 
 
 # --- minimum projection distance -------------------------------------------
@@ -112,57 +105,28 @@ def test_neighbor_normal_cylinder_axial_neighbor():
 
 def test_min_projection_zero_for_coplanar_ring():
     mesh = g.grid(4)
-    topo = build_topology(mesh)
-    i = _grid_interior_vertex(mesh, 4)
-    el = mesh_stats(mesh).mean_edge_length
-    normals, _ = vertex_normals(mesh, topo)
-    assert min_projection_distance(i, mesh.vertices, topo, normals[i], el) == 0.0
+    out, topo, _ = _step(mesh)
+    assert (~topo.is_boundary).sum() == 9
+    assert np.array_equal(out, mesh.vertices)
 
 
 def test_min_projection_zero_on_cube_crease():
     mesh = g.cube(4)
-    topo = build_topology(mesh)
-    el = mesh_stats(mesh).mean_edge_length
-    normals, _ = vertex_normals(mesh, topo)
     on_crease = (np.abs(np.abs(mesh.vertices) - 1.0) < 1e-12).sum(axis=1) >= 2
-    idx = np.flatnonzero(on_crease)
-    assert len(idx)
-    for i in idx[:8]:
-        d = min_projection_distance(int(i), mesh.vertices, topo, normals[i], el)
-        # brute-force pair enumeration
-        ring = topo.neighbors[i]
-        cands = [normals[i]]
-        for k in range(len(ring)):
-            nk = neighbor_normal(int(i), k, mesh.vertices, topo, el)
-            if nk is not None:
-                cands.append(nk)
-        brute = min(
-            abs(float(np.dot(nv, mesh.vertices[j] - mesh.vertices[i])))
-            for nv in cands for j in ring
-        )
-        assert d == brute
-        assert d == 0.0
+    assert on_crease.any()
+    out, topo, col = _step(mesh)
+    assert np.array_equal(out[on_crease], mesh.vertices[on_crease])
+    el = mean_edge_length(mesh.vertices, mesh.faces)
+    expect = reference_step(mesh.vertices, topo, col, el)
+    assert np.array_equal(expect[on_crease], mesh.vertices[on_crease])
 
 
 def test_min_projection_zero_on_cylinder():
     mesh = g.cylinder(16, 8)
-    topo = build_topology(mesh)
-    el = mesh_stats(mesh).mean_edge_length
-    normals, _ = vertex_normals(mesh, topo)
     interior_side = 5 * 16 + 3  # a mid-height side vertex
+    out, topo, _ = _step(mesh)
     assert not topo.is_boundary[interior_side]
-    d = min_projection_distance(interior_side, mesh.vertices, topo,
-                                normals[interior_side], el)
-    assert d == 0.0
-
-
-def test_degenerate_neighborhood_raises():
-    center = (0.0, 0.0, 0.0)
-    ring = [(1.0, 0, 0), (2.0, 0, 0), (3.0, 0, 0), (4.0, 0, 0)]
-    fan = _closed_fan(center, ring)
-    topo = build_topology(fan)
-    with pytest.raises(DegenerateNeighborhood):
-        min_projection_distance(0, fan.vertices, topo, None, 1.0)
+    assert np.array_equal(out[interior_side], mesh.vertices[interior_side])
 
 
 # --- single step -------------------------------------------------------------
@@ -187,13 +151,15 @@ def test_step_closed_cylinder_fixed_point():
 
 
 def test_step_degenerate_fan_unmoved():
+    # collinear ring: every candidate normal is degenerate, so the center
+    # has no usable normal and stays, in the kernel and in the oracle
     center = (0.0, 0.0, 0.0)
     ring = [(1.0, 0, 0), (2.0, 0, 0), (3.0, 0, 0), (4.0, 0, 0)]
     fan = _closed_fan(center, ring)
-    topo = build_topology(fan)
-    col = greedy_domain_decomposition(topo)
-    out = gcf_step(fan.vertices, topo, col, edge_scale=1.0)
+    out, topo, col = _step(fan, edge_scale=1.0)
     assert np.array_equal(out, fan.vertices)
+    assert np.array_equal(reference_step(fan.vertices, topo, col, 1.0),
+                          fan.vertices)
 
 
 def test_step_displaced_vertex_matches_reference():

@@ -3,7 +3,8 @@ import pytest
 
 import gcfmesh as g
 from gcfmesh import TriangleMesh, build_topology, mesh_stats, unique_edges
-from gcfmesh.errors import EmptyMeshError, FaceIndexError
+from gcfmesh.errors import EmptyMeshError, FaceIndexError, MeshError, \
+    NonFiniteError
 
 from conftest import random_meshes
 
@@ -18,6 +19,33 @@ def test_face_index_out_of_range():
 def test_repeated_index_rejected():
     with pytest.raises(FaceIndexError):
         TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 1)])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_rejected(value):
+    verts = np.array([(0.0, 0, 0), (1.0, 0, 0), (0.0, 1, 0), (1.0, 1, 0)])
+    verts[2, 1] = value
+    with pytest.raises(NonFiniteError, match="vertex 2"):
+        TriangleMesh(verts, [(0, 1, 2), (1, 3, 2)])
+    assert issubclass(NonFiniteError, MeshError)
+
+
+def test_mean_edge_length_empty():
+    with pytest.raises(EmptyMeshError):
+        g.mean_edge_length(np.zeros((3, 3)), np.zeros((0, 3), dtype=np.int32))
+
+
+def test_unique_edges_match_row_unique():
+    for mesh in random_meshes():
+        e = np.concatenate([mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]],
+                            mesh.faces[:, [2, 0]]])
+        want, want_counts = np.unique(np.sort(e, axis=1), axis=0,
+                                      return_counts=True)
+        got, counts = unique_edges(mesh.faces, return_counts=True)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(unique_edges(mesh.faces), want)
 
 
 def test_tetrahedron_topology(tetrahedron):
