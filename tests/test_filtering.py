@@ -84,6 +84,20 @@ def test_neighbor_normal_planar_ring():
     assert np.array_equal(out, verts)
 
 
+def test_neighbor_normal_collinear_none():
+    # collinear ring with the center lifted off the line: the center has a
+    # moving direction, but every neighbor normal is degenerate and the
+    # area-weighted vertex normal cancels exactly, so nothing moves
+    center = (2.5, 0.0, 1.0)
+    ring = [(1.0, 0, 0), (2.0, 0, 0), (3.0, 0, 0), (4.0, 0, 0)]
+    fan = _closed_fan(center, ring)
+    out, topo, col = _step(fan, edge_scale=1.0)
+    assert not topo.is_boundary[0] and topo.is_manifold_fan[0]
+    assert np.array_equal(out, fan.vertices)
+    assert np.array_equal(reference_step(fan.vertices, topo, col, 1.0),
+                          fan.vertices)
+
+
 def test_neighbor_normal_cylinder_axial_neighbor():
     # plus-shaped ring on a unit cylinder: the axial neighbors' normals are
     # radial, perpendicular to the axial ring edges, so the center stays
@@ -127,6 +141,19 @@ def test_min_projection_zero_on_cylinder():
     out, topo, _ = _step(mesh)
     assert not topo.is_boundary[interior_side]
     assert np.array_equal(out[interior_side], mesh.vertices[interior_side])
+
+
+def test_degenerate_neighborhood_raises():
+    # a neighborhood without any usable candidate normal no longer raises:
+    # the full filter skips the vertex on every sweep and leaves the fan as is
+    center = (0.0, 0.0, 0.0)
+    ring = [(1.0, 0, 0), (2.0, 0, 0), (3.0, 0, 0), (4.0, 0, 0)]
+    fan = _closed_fan(center, ring)
+    topo = build_topology(fan)
+    col = greedy_domain_decomposition(topo)
+    out, _ = gcf_filter(fan, topo, col, FilterConfig(iterations=3))
+    assert np.array_equal(out.vertices, fan.vertices)
+    assert np.array_equal(out.faces, fan.faces)
 
 
 # --- single step -------------------------------------------------------------
