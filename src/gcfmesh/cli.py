@@ -149,15 +149,11 @@ def cmd_noise(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = {}
-    for name in ("subdiv", "segments", "rings", "res"):
-        value = getattr(args, name)
-        if value is not None:
-            params[{"subdiv": "subdivisions", "res": "resolution"}.get(name, name)] = value
-    for name in ("radius", "height", "size", "spacing"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    renamed = {"subdiv": "subdivisions", "res": "resolution"}
+    params = {renamed.get(name, name): getattr(args, name)
+              for name in ("subdiv", "segments", "rings", "res",
+                           "radius", "height", "size", "spacing")
+              if getattr(args, name) is not None}
     phases = {}
     with _timed(phases, "generate"):
         mesh = generate_mesh(args.kind, **params)
@@ -228,9 +224,7 @@ def cmd_bench(args) -> int:
                 start = time.perf_counter()
                 gcf_filter(mesh, topology, coloring, config)
                 seconds = time.perf_counter() - start
-                rows.append(
-                    f"{path},{mesh.vertex_count},{iters},{threads},{seconds:.6f}"
-                )
+                rows.append(f"{path},{mesh.vertex_count},{iters},{threads},{seconds:.6f}")
     text = "\n".join(rows) + "\n"
     if args.output is not None:
         with open(args.output, "w", newline="\n") as fh:

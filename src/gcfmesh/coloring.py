@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshTopology
+from .mesh import MeshTopology, _releases_memory
 
 
 @dataclass(eq=False)
@@ -29,6 +29,7 @@ class DomainColoring:
         return len(self.domains)
 
 
+@_releases_memory
 def greedy_domain_decomposition(topology: MeshTopology) -> DomainColoring:
     """Color vertices greedily so no edge joins two same-colored vertices."""
     n = topology.vertex_count
@@ -36,11 +37,8 @@ def greedy_domain_decomposition(topology: MeshTopology) -> DomainColoring:
     indptr = topology.ring_indptr.tolist()
     color = [-1] * n
     for i in range(n):
-        used = set()
-        for j in flat[indptr[i]:indptr[i + 1]]:
-            cj = color[j]
-            if cj >= 0:
-                used.add(cj)
+        # uncolored neighbors add -1, which no label c >= 0 matches
+        used = {color[j] for j in flat[indptr[i]:indptr[i + 1]]}
         c = 0
         while c in used:
             c += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh, _cross3
+from .mesh import MeshTopology, TriangleMesh, _cross3, _releases_memory
 
 
 @dataclass(eq=False)
@@ -113,6 +113,7 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     )
 
 
+@_releases_memory
 def gaussian_curvature(mesh: TriangleMesh, topology: MeshTopology) -> CurvatureField:
     """Discrete Gaussian curvature of every vertex (boundary vertices flagged)."""
     return curvature_field(mesh.vertices, mesh.faces, topology.is_boundary.copy())

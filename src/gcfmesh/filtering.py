@@ -19,27 +19,28 @@ Degeneracy cutoffs are relative to the input mesh's mean edge length e:
 a differential coordinate shorter than 1e-14*e yields no direction, and
 normal candidates with magnitude below 1e-14*e^2 are dropped.
 
-The sweep is organized as one dense (rows x degree) kernel per (domain,
-degree) group, so per-row arithmetic has a fixed internal order and the
-output is bitwise independent of the worker count.
+The sweep runs one dense (rows x degree) kernel per block of at most
+_BLOCK rows of a (domain, degree) group, so per-row arithmetic has a fixed
+internal order and the output is bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
-from .mesh import MeshTopology, TriangleMesh, _cross3, mean_edge_length
+from .mesh import (MeshTopology, TriangleMesh, _cross3, _releases_memory,
+                   mean_edge_length)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
 
-_CHUNK_MIN = 8192      # rows per thread chunk, below this stay sequential
+_BLOCK = 4096          # rows per kernel call; blocks are what threads share
 
 
 @dataclass
@@ -77,15 +78,14 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
         domain = np.asarray(domain)
         rows_all = domain[movable[domain]]
         groups = []
-        if len(rows_all):
-            sizes = topology.ring_sizes[rows_all]
-            for d in np.unique(sizes):
-                rows = rows_all[sizes == d]
-                cols = np.arange(d, dtype=np.int64)
-                rings = topology.ring_flat[
-                    topology.ring_indptr[rows][:, None] + cols[None, :]
-                ]
-                groups.append((rows, rings))
+        sizes = topology.ring_sizes[rows_all]
+        for d in np.unique(sizes):
+            rows = rows_all[sizes == d]
+            cols = np.arange(d, dtype=np.int64)
+            rings = topology.ring_flat[
+                topology.ring_indptr[rows][:, None] + cols[None, :]
+            ]
+            groups.append((rows, rings))
         plan.append(groups)
     return plan
 
@@ -135,20 +135,17 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     return vi + amplitude[:, None] * direction
 
 
-def _run_group(positions, snapshot, group, dir_tol, normal_tol, pool, workers):
+def _run_group(positions, snapshot, group, dir_tol, normal_tol, pool):
     rows, rings = group
-    m = len(rows)
-    if pool is None or m < 2 * _CHUNK_MIN:
-        out = _kernel(snapshot, rows, rings, dir_tol, normal_tol)
-    else:
-        out = np.empty((m, 3))
-        bounds = np.linspace(0, m, min(workers, m // _CHUNK_MIN) + 1).astype(int)
+    out = np.empty((len(rows), 3))
 
-        def work(a, b):
-            out[a:b] = _kernel(snapshot, rows[a:b], rings[a:b],
-                               dir_tol, normal_tol)
+    def work(lo):
+        hi = lo + _BLOCK
+        out[lo:hi] = _kernel(snapshot, rows[lo:hi], rings[lo:hi],
+                             dir_tol, normal_tol)
 
-        wait([pool.submit(work, a, b) for a, b in zip(bounds[:-1], bounds[1:])])
+    starts = range(0, len(rows), _BLOCK)
+    list(pool.map(work, starts) if pool and len(starts) > 1 else map(work, starts))
     positions[rows] = out
 
 
@@ -156,6 +153,7 @@ def resolve_threads(threads: int) -> int:
     return threads if threads > 0 else (os.cpu_count() or 1)
 
 
+@_releases_memory
 def _drive(positions, topology, coloring, edge_scale, threads, iterations,
            capture_trace):
     """Sweep `positions` in place `iterations` times; each sweep visits
@@ -177,8 +175,7 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
                     continue
                 snapshot = positions.copy()
                 for group in groups:
-                    _run_group(positions, snapshot, group, dir_tol,
-                               normal_tol, pool, workers)
+                    _run_group(positions, snapshot, group, dir_tol, normal_tol, pool)
             if trace is not None:
                 trace.append(_interior_energy(positions, topology))
     finally:

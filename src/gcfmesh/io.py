@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     UnsupportedFormat,
 )
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, _releases_memory
 
 _FORMATS = ("obj", "off", "ply")
 
@@ -81,32 +81,27 @@ def _parse_floats(tokens, count, path, lineno):
 def _load_obj(path: Path):
     vertices = []
     polygons = []
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            key = tokens[0]
-            if key == "v":
-                vertices.append(_parse_floats(tokens[1:], 3, path, lineno))
-            elif key == "f":
-                poly = []
-                for tok in tokens[1:]:
-                    head = tok.split("/")[0]
-                    try:
-                        idx = int(head)
-                    except ValueError:
-                        raise ParseError(f"bad face index {tok!r}", path, lineno)
-                    if idx > 0:
-                        idx -= 1
-                    elif idx < 0:
-                        idx += len(vertices)
-                    else:
-                        raise ParseError("face index 0 is not valid", path, lineno)
-                    poly.append(idx)
-                polygons.append(poly)
-            # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are ignored
+    for lineno, tokens in _meaningful_lines(path):
+        key = tokens[0]
+        if key == "v":
+            vertices.append(_parse_floats(tokens[1:], 3, path, lineno))
+        elif key == "f":
+            poly = []
+            for tok in tokens[1:]:
+                head = tok.split("/")[0]
+                try:
+                    idx = int(head)
+                except ValueError:
+                    raise ParseError(f"bad face index {tok!r}", path, lineno)
+                if idx > 0:
+                    idx -= 1
+                elif idx < 0:
+                    idx += len(vertices)
+                else:
+                    raise ParseError("face index 0 is not valid", path, lineno)
+                poly.append(idx)
+            polygons.append(poly)
+        # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are ignored
     return vertices, polygons, None, None
 
 
@@ -120,38 +115,33 @@ def _meaningful_lines(path):
             yield lineno, line.split()
 
 
+def _next_line(lines, path, message):
+    try:
+        return next(lines)
+    except StopIteration:
+        raise ParseError(message, path)
+
+
 def _load_off(path: Path):
     lines = _meaningful_lines(path)
-    try:
-        lineno, tokens = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", path)
+    lineno, tokens = _next_line(lines, path, "empty file")
     if tokens[0] != "OFF":
         raise ParseError(f"missing OFF header, got {tokens[0]!r}", path, lineno)
     if len(tokens) >= 4:
         counts = tokens[1:4]
     else:
-        try:
-            lineno, counts = next(lines)
-        except StopIteration:
-            raise ParseError("missing vertex/face counts", path)
+        lineno, counts = _next_line(lines, path, "missing vertex/face counts")
     try:
         n_vert, n_face = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
         raise ParseError(f"bad count line {counts!r}", path, lineno)
     vertices = []
     for _ in range(n_vert):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise ParseError("unexpected end of file in vertex list", path)
+        lineno, tokens = _next_line(lines, path, "unexpected end of file in vertex list")
         vertices.append(_parse_floats(tokens, 3, path, lineno))
     polygons = []
     for _ in range(n_face):
-        try:
-            lineno, tokens = next(lines)
-        except StopIteration:
-            raise ParseError("unexpected end of file in face list", path)
+        lineno, tokens = _next_line(lines, path, "unexpected end of file in face list")
         try:
             k = int(tokens[0])
             poly = [int(t) for t in tokens[1:1 + k]]
@@ -188,10 +178,8 @@ def _load_ply(path: Path):
             elif tokens[0] == "property":
                 if not elements:
                     raise ParseError("property before element", path, lineno)
-                if tokens[1] == "list":
-                    elements[-1][2].append(("list", tokens[-1]))
-                else:
-                    elements[-1][2].append(("scalar", tokens[-1]))
+                kind = "list" if tokens[1] == "list" else "scalar"
+                elements[-1][2].append((kind, tokens[-1]))
             elif tokens[0] == "end_header":
                 break
             else:
@@ -257,6 +245,7 @@ def _load_ply(path: Path):
 _LOADERS = {"obj": _load_obj, "off": _load_off, "ply": _load_ply}
 
 
+@_releases_memory
 def load_mesh(path, fmt: str = "auto") -> TriangleMesh:
     """Load a triangle mesh from an ASCII OBJ, OFF, or PLY file.
 
@@ -280,9 +269,7 @@ def load_mesh_attributes(path, fmt: str = "auto"):
     verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
-        raise FaceIndexError(
-            f"{path}: face index out of range 0..{len(verts) - 1}"
-        )
+        raise FaceIndexError(f"{path}: face index out of range 0..{len(verts) - 1}")
     mesh = TriangleMesh(verts, faces)
     q = np.asarray(quality, dtype=np.float64) if quality is not None else None
     c = np.asarray(colors, dtype=np.uint8) if colors is not None else None
@@ -293,6 +280,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+@_releases_memory
 def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
               scalars=None, colors=None) -> None:
     """Write a mesh; `scalars` (per-vertex float) and `colors` (per-vertex

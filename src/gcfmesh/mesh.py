@@ -16,12 +16,32 @@ walk, and fans it cannot order are flagged non-manifold with a sorted ring.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
 from .errors import EmptyMeshError, FaceIndexError, NonFiniteError
+
+try:  # glibc only: malloc_trim hands freed heap pages back to the OS
+    _trim_heap = partial(ctypes.CDLL(None).malloc_trim, 0)
+except (AttributeError, OSError, TypeError):
+    _trim_heap = int  # no-op
+
+
+def _releases_memory(fn):
+    """Trim the heap before and after `fn`: a large call then neither stacks
+    its peak on memory freed earlier nor leaves its temporaries resident."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        _trim_heap()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _trim_heap()
+
+    return call
 
 
 @dataclass(eq=False)
@@ -172,6 +192,7 @@ def _try_undirected_walk(starts, ends, face_ids):
     return ring, face_order, boundary
 
 
+@_releases_memory
 def build_topology(mesh: TriangleMesh) -> MeshTopology:
     """Build ordered 1-rings from the sorted corner half-edge table.
 

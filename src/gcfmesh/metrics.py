@@ -18,7 +18,7 @@ from .curvature import CurvatureField, face_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import TriangleMesh, _cross3, build_topology
+from .mesh import TriangleMesh, _cross3, _releases_memory, build_topology
 
 _KLD_EPS = 1e-12
 
@@ -53,6 +53,7 @@ def _normal_angles(processed: TriangleMesh, original: TriangleMesh):
     return np.arctan2(sin_term, cos_term), int((~ok).sum())
 
 
+@_releases_memory
 def msae(processed: TriangleMesh, original: TriangleMesh) -> float:
     """Mean angle between corresponding face normals, in degrees.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import vertex_normals
-from .mesh import MeshTopology, TriangleMesh, mean_edge_length
+from .mesh import MeshTopology, TriangleMesh, _releases_memory, mean_edge_length
 
 MODES = ("along_normal", "isotropic")
 
@@ -32,6 +32,7 @@ class NoiseConfig:
             raise ValueError(f"mode must be one of {MODES}")
 
 
+@_releases_memory
 def add_noise(mesh: TriangleMesh, topology: MeshTopology,
               config: NoiseConfig) -> TriangleMesh:
     """Return a noisy copy of the mesh; connectivity is unchanged.

@@ -310,6 +310,20 @@ def test_thread_count_invariance():
     assert np.array_equal(results[0], results[2])
 
 
+def test_block_size_invariance(monkeypatch):
+    # with 7-row blocks every domain splits into many blocks that the
+    # worker threads share; rows must not depend on who shares a block
+    mesh = g.icosphere(3)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    noisy = g.add_noise(mesh, topo, g.NoiseConfig(0.3, seed=9))
+    want = gcf_filter(noisy, topo, col, FilterConfig(iterations=10, threads=1))[0]
+    monkeypatch.setattr(g.filtering, "_BLOCK", 7)
+    for t in (1, 2, 8):
+        got = gcf_filter(noisy, topo, col, FilterConfig(iterations=10, threads=t))[0]
+        assert np.array_equal(got.vertices, want.vertices)
+
+
 def test_feature_fixed_points_stay_exact():
     # a vertex whose ring admits a normal perpendicular to a ring edge is
     # exactly unmoved even while its surroundings change
