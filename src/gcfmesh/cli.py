@@ -30,7 +30,7 @@ from .errors import (
 )
 from .filtering import FilterConfig, gcf_filter
 from .generate import generate_mesh
-from .io import load_mesh, save_mesh
+from .io import _write_rows, load_mesh, save_mesh
 from .mesh import build_topology, mesh_stats
 from .metrics import metrics_report
 from .noise import NoiseConfig, add_noise
@@ -72,6 +72,13 @@ def _write_manifest(path, command, args, phases, extra=None):
         fh.write("\n")
 
 
+def _write_csv(path, header, values):
+    """Write an `index,value` CSV of a 1-D sequence in full precision."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        _write_rows(fh, "%d,%.17g", [np.arange(len(values)), values])
+
+
 @contextlib.contextmanager
 def _timed(phases, name):
     """Record the wall time of the enclosed block as phases[name]."""
@@ -98,10 +105,7 @@ def cmd_filter(args) -> int:
     with _timed(phases, "save"):
         save_mesh(result, args.output)
     if args.trace is not None:
-        with open(args.trace, "w", newline="\n") as fh:
-            fh.write("iteration,gce\n")
-            for i, value in enumerate(trace.gce_per_iteration):
-                fh.write(f"{i},{value:.17g}\n")
+        _write_csv(args.trace, "iteration,gce", trace.gce_per_iteration)
     if args.manifest is not None:
         _write_manifest(args.manifest, "filter", args, phases,
                         {"input": str(args.input), "output": str(args.output),
@@ -184,10 +188,7 @@ def cmd_curvature(args) -> int:
     field = gaussian_curvature(mesh, topology)
     out = str(args.output).lower()
     if out.endswith(".csv"):
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write("vertexIndex,K\n")
-            for i, k in enumerate(field.curvature):
-                fh.write(f"{i},{k:.17g}\n")
+        _write_csv(args.output, "vertexIndex,K", field.curvature)
     elif out.endswith(".ply"):
         save_mesh(mesh, args.output, scalars=field.curvature)
     else:

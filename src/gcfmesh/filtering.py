@@ -3,11 +3,13 @@ iterative vertex filter.
 
 Each vertex moves along the reversed differential coordinate (its position
 minus the 1-ring centroid, negated and normalized) by the smallest absolute
-projection of any ring edge onto any candidate normal. The candidate set
-holds the area-weighted vertex normal plus one cross-product normal per
-ring neighbor. Whenever some candidate normal is perpendicular to a ring
-edge the projection minimum is zero and the vertex stays put, which is what
-preserves creases, corners, and developable regions.
+projection of any ring edge onto any candidate normal. The candidates form
+one block: candidate 0 is the area-weighted vertex normal, summed in ring
+order so that stored face winding does not change it, and candidates 1..d
+are one cross-product normal per ring neighbor. Whenever some candidate
+normal is perpendicular to a ring edge the projection minimum is zero and
+the vertex stays put, which is what preserves creases, corners, and
+developable regions.
 
 Vertices are swept domain by domain in ascending color order: positions
 are updated in place between domains (Gauss-Seidel across domains) while
@@ -90,46 +92,41 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
     return plan
 
 
+def _unit(v, tol):
+    """(v / |v|, |v| >= tol) along the last axis; vectors below tol are zero."""
+    mag = np.sqrt((v * v).sum(axis=-1))
+    ok = mag >= tol
+    unit = np.zeros_like(v)
+    np.divide(v, mag[..., None], out=unit, where=ok[..., None])
+    return unit, ok
+
+
 def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     """New positions for one block of same-degree vertices.
 
-    For an interior manifold vertex the k-th incident face is (vertex,
-    ring[k], ring[k+1]), so its doubled-area cross product comes from the
-    already-gathered ring edges; likewise the neighbor normals come from
-    consecutive ring differences (their sign is irrelevant because only
-    absolute projections are used). Every reduction runs along a
-    fixed-length axis, so each row's result does not depend on which other
+    The k-th incident face of an interior manifold vertex is (vertex,
+    ring[k], ring[k+1]), so candidate 0, the area-weighted vertex normal,
+    is half the sum of cross products of consecutive ring edges. Candidates
+    1..d cross consecutive ring differences; their sign is irrelevant
+    because only absolute projections are used. Every reduction runs along
+    a fixed-length axis, so a row's result does not depend on which other
     rows share the block.
     """
     vi = snapshot[rows]
     ring_pos = snapshot[rings]
     edges = ring_pos - vi[:, None, :]
 
-    toward_centroid = edges.mean(axis=1)
-    dmag = np.sqrt((toward_centroid * toward_centroid).sum(axis=1))
-    has_dir = dmag >= dir_tol
-    direction = np.zeros_like(toward_centroid)
-    np.divide(toward_centroid, dmag[:, None], out=direction,
-              where=has_dir[:, None])
+    direction, has_dir = _unit(edges.mean(axis=1), dir_tol)
 
     vnormal = 0.5 * _cross3(edges, np.roll(edges, -1, axis=1)).sum(axis=1)
-    vmag = np.sqrt((vnormal * vnormal).sum(axis=1))
-    v_ok = vmag >= normal_tol
-    vunit = np.zeros_like(vnormal)
-    np.divide(vnormal, vmag[:, None], out=vunit, where=v_ok[:, None])
-
     chain = ring_pos - np.roll(ring_pos, 1, axis=1)
-    ncross = _cross3(chain, np.roll(chain, -1, axis=1))
-    nmag = np.sqrt((ncross * ncross).sum(axis=2))
-    n_ok = nmag >= normal_tol
-    nunit = np.zeros_like(ncross)
-    np.divide(ncross, nmag[:, :, None], out=nunit, where=n_ok[:, :, None])
+    candidates = np.concatenate(
+        [vnormal[:, None], _cross3(chain, np.roll(chain, -1, axis=1))], axis=1)
+    normals, ok = _unit(candidates, normal_tol)
 
-    proj_v = np.abs(np.einsum("mc,mdc->md", vunit, edges))
-    proj_v[~v_ok] = np.inf
-    proj_n = np.abs(np.einsum("mkc,mdc->mkd", nunit, edges))
-    proj_n[~n_ok] = np.inf
-    dist = np.minimum(proj_v.min(axis=1), proj_n.min(axis=(1, 2)))
+    proj = np.abs(normals @ edges.transpose(0, 2, 1))
+    proj[~ok] = np.inf
+    dist = proj.min(axis=(1, 2))
 
     amplitude = np.where(has_dir & np.isfinite(dist), dist, 0.0)
     return vi + amplitude[:, None] * direction

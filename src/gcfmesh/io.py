@@ -70,12 +70,11 @@ def _fan_triangulate(polygons, path):
 
 def _parse_floats(tokens, count, path, lineno):
     try:
-        vals = [float(t) for t in tokens[:count]]
+        if len(tokens) >= count:
+            return [float(t) for t in tokens[:count]]
     except ValueError:
-        raise ParseError(f"expected {count} numbers, got {tokens!r}", path, lineno)
-    if len(vals) < count:
-        raise ParseError(f"expected {count} numbers, got {tokens!r}", path, lineno)
-    return vals
+        pass
+    raise ParseError(f"expected {count} numbers, got {tokens!r}", path, lineno)
 
 
 def _load_obj(path: Path):
@@ -156,8 +155,7 @@ def _load_off(path: Path):
 def _load_ply(path: Path):
     with open(path, "r", errors="replace") as fh:
         lineno = 1
-        magic = fh.readline().strip()
-        if magic != "ply":
+        if fh.readline().strip() != "ply":
             raise ParseError("missing 'ply' magic", path, lineno)
         elements = []  # (name, count, [(kind, name)]) with kind 'scalar'|'list'
         fmt_seen = False
@@ -174,10 +172,15 @@ def _load_ply(path: Path):
                     raise UnsupportedFormat(f"{path}: only ASCII PLY is supported")
                 fmt_seen = True
             elif tokens[0] == "element":
-                elements.append((tokens[1], int(tokens[2]), []))
+                try:
+                    elements.append((tokens[1], int(tokens[2]), []))
+                except (IndexError, ValueError):
+                    raise ParseError(f"bad element line {raw.strip()!r}", path, lineno)
             elif tokens[0] == "property":
                 if not elements:
                     raise ParseError("property before element", path, lineno)
+                if len(tokens) < 3:
+                    raise ParseError(f"bad property line {raw.strip()!r}", path, lineno)
                 kind = "list" if tokens[1] == "list" else "scalar"
                 elements[-1][2].append((kind, tokens[-1]))
             elif tokens[0] == "end_header":
@@ -222,6 +225,8 @@ def _load_ply(path: Path):
                             )
                     except ValueError:
                         raise ParseError(f"bad vertex row {tokens!r}", path, lineno)
+                    if has_rgb and not all(0 <= c <= 255 for c in colors[-1]):
+                        raise ParseError("color outside 0..255", path, lineno)
             elif name == "face":
                 if not any(kind == "list" for kind, _ in props):
                     raise ParseError("face element lacks a list property", path, lineno)
@@ -276,8 +281,18 @@ def load_mesh_attributes(path, fmt: str = "auto"):
     return mesh, q, c
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(fh, template, columns, base=0):
+    """Write `template % row` + newline for each row of `columns` side by side
+    (plus `base`), _ROWS_PER_WRITE rows per write so no copy grows with n."""
+    line = template + "\n"
+    for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        chunk = np.column_stack([c[lo:lo + _ROWS_PER_WRITE] for c in columns])
+        if base:
+            chunk += base
+        fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 @_releases_memory
@@ -287,52 +302,38 @@ def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
     uchar RGB) are PLY-only and raise FormatCapabilityError elsewhere."""
     path = Path(path)
     if fmt == "auto":
-        suffix = path.suffix.lower().lstrip(".")
-        if suffix not in _FORMATS:
-            raise UnsupportedFormat(f"cannot infer format from {path.name!r}")
-        fmt = suffix
+        fmt = path.suffix.lower().lstrip(".")
     if fmt not in _FORMATS:
-        raise UnsupportedFormat(f"unknown format {fmt!r}")
+        raise UnsupportedFormat(f"cannot write format {fmt!r} to {path.name!r}")
+    columns = [mesh.vertices]
+    vertex_row = "%.17g %.17g %.17g"
+    properties = "property double x\nproperty double y\nproperty double z\n"
     if scalars is not None:
         scalars = np.asarray(scalars, dtype=np.float64).ravel()
         if len(scalars) != mesh.vertex_count:
             raise ValueError("scalar channel length != vertex count")
+        columns.append(scalars)
+        vertex_row += " %.17g"
+        properties += "property double quality\n"
     if colors is not None:
         colors = np.asarray(colors, dtype=np.int64).reshape(-1, 3)
         if len(colors) != mesh.vertex_count:
             raise ValueError("color channel length != vertex count")
-    if fmt != "ply" and (scalars is not None or colors is not None):
+        columns.append(colors)
+        vertex_row += " %d %d %d"
+        properties += "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+    if fmt != "ply" and len(columns) > 1:
         raise FormatCapabilityError(f"{fmt} files cannot carry per-vertex attributes")
+    face_row, base = "3 %d %d %d", 0
+    if fmt == "obj":
+        header, vertex_row, face_row, base = "", "v " + vertex_row, "f %d %d %d", 1
+    elif fmt == "off":
+        header = f"OFF\n{mesh.vertex_count} {mesh.face_count} 0\n"
+    else:
+        header = (f"ply\nformat ascii 1.0\nelement vertex {mesh.vertex_count}\n"
+                  f"{properties}element face {mesh.face_count}\n"
+                  "property list uchar int vertex_indices\nend_header\n")
     with open(path, "w", newline="\n") as fh:
-        if fmt == "obj":
-            for v in mesh.vertices:
-                fh.write(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-            for f in mesh.faces:
-                fh.write(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}\n")
-        elif fmt == "off":
-            fh.write("OFF\n")
-            fh.write(f"{mesh.vertex_count} {mesh.face_count} 0\n")
-            for v in mesh.vertices:
-                fh.write(f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}\n")
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
-        else:
-            fh.write("ply\nformat ascii 1.0\n")
-            fh.write(f"element vertex {mesh.vertex_count}\n")
-            fh.write("property double x\nproperty double y\nproperty double z\n")
-            if scalars is not None:
-                fh.write("property double quality\n")
-            if colors is not None:
-                fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-            fh.write(f"element face {mesh.face_count}\n")
-            fh.write("property list uchar int vertex_indices\n")
-            fh.write("end_header\n")
-            for i, v in enumerate(mesh.vertices):
-                row = f"{_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}"
-                if scalars is not None:
-                    row += f" {_fmt(scalars[i])}"
-                if colors is not None:
-                    row += f" {colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
-                fh.write(row + "\n")
-            for f in mesh.faces:
-                fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.write(header)
+        _write_rows(fh, vertex_row, columns)
+        _write_rows(fh, face_row, [mesh.faces], base)

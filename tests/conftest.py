@@ -63,3 +63,21 @@ def random_meshes(max_vertices=200):
         meshes.append(g.add_noise(mesh, topo, g.NoiseConfig(0.2, seed=seed)))
     assert all(m.vertex_count <= max_vertices for m in meshes)
     return meshes
+
+
+# Malformed ASCII PLY inputs, each with the line the loader must blame.
+_PLY_HEAD = "ply\nformat ascii 1.0\n"
+_PLY_XYZ = "property double x\nproperty double y\nproperty double z\n"
+MALFORMED_PLY = [
+    pytest.param(_PLY_HEAD + "element vertex\nend_header\n", 3,
+                 id="element-without-count"),
+    pytest.param(_PLY_HEAD + "element vertex 3\nproperty\nend_header\n", 4,
+                 id="bare-property"),
+    pytest.param(_PLY_HEAD + "element vertex x\nend_header\n", 3,
+                 id="element-count-not-int"),
+    pytest.param(_PLY_HEAD + "element vertex 3\n" + _PLY_XYZ
+                 + "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+                 + "element face 1\nproperty list uchar int vertex_indices\n"
+                 + "end_header\n0 0 0 1 2 3\n1 0 0 300 0 0\n0 1 0 0 0 0\n3 0 1 2\n",
+                 14, id="color-above-255"),
+]

@@ -7,6 +7,8 @@ import gcfmesh as g
 from gcfmesh.cli import main
 from gcfmesh import load_mesh, load_mesh_attributes, save_mesh, unique_edges
 
+from conftest import MALFORMED_PLY
+
 TET_K = 2.4183991523122903
 
 
@@ -221,6 +223,15 @@ def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.obj"
     bad.write_text("v 1 2\n")
     assert run("stats", "-i", bad) == 2
+
+
+def test_malformed_ply_exit_code(tmp_path, capsys):
+    for k, case in enumerate(MALFORMED_PLY):
+        text, line = case.values
+        bad = tmp_path / f"bad{k}.ply"
+        bad.write_text(text)
+        assert run("stats", "-i", bad) == 2
+        assert f"bad{k}.ply:{line}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["filter", "stats"])

@@ -229,6 +229,21 @@ def test_step_jacobi_single_domain_matches_reference():
     assert np.abs(out - expect).max() < 1e-12
 
 
+def test_step_independent_of_face_winding():
+    # Candidate 0 sums cross products in ring order, so flipping stored faces
+    # cannot change it. The oracle sums stored windings instead, which is
+    # why it is compared on consistently wound meshes only.
+    mesh = g.icosphere(2)
+    noisy = g.add_noise(mesh, build_topology(mesh), g.NoiseConfig(0.2, seed=3))
+    faces = noisy.faces.copy()
+    faces[::7] = faces[::7, ::-1]
+    consistent, _, _ = _step(noisy)
+    mixed, topo, _ = _step(TriangleMesh(noisy.vertices, faces))
+    assert topo.is_manifold_fan.all() and not topo.is_boundary.any()
+    assert not np.array_equal(consistent, noisy.vertices)
+    assert np.abs(mixed - consistent).max() < 1e-12
+
+
 # --- full filter -------------------------------------------------------------
 
 

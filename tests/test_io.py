@@ -10,7 +10,7 @@ from gcfmesh.errors import (
     UnsupportedFormat,
 )
 
-from conftest import random_meshes
+from conftest import MALFORMED_PLY, random_meshes
 
 OBJ_MINIMAL = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
 OFF_MINIMAL = "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
@@ -154,3 +154,41 @@ def test_unknown_format(tmp_path):
     p.write_text("garbage\n")
     with pytest.raises(UnsupportedFormat):
         load_mesh(p)
+
+
+def test_save_golden_text(tmp_path, tetrahedron):
+    p, n = "0.35355339059327373", "-0.35355339059327373"
+    xyz = [f"{p} {p} {p}", f"{p} {n} {n}", f"{n} {p} {n}", f"{n} {n} {p}"]
+    faces = "3 0 1 2\n3 0 3 1\n3 0 2 3\n3 1 3 2\n"
+    ply_head = ("ply\nformat ascii 1.0\nelement vertex 4\n"
+                "property double x\nproperty double y\nproperty double z\n")
+    ply_tail = "element face 4\nproperty list uchar int vertex_indices\nend_header\n"
+    expected = {
+        "obj": "".join(f"v {row}\n" for row in xyz)
+        + "f 1 2 3\nf 1 4 2\nf 1 3 4\nf 2 4 3\n",
+        "off": "OFF\n4 4 0\n" + "".join(f"{row}\n" for row in xyz) + faces,
+        "ply": ply_head + ply_tail + "".join(f"{row}\n" for row in xyz) + faces,
+    }
+    for fmt, text in expected.items():
+        path = tmp_path / f"t.{fmt}"
+        save_mesh(tetrahedron, path)
+        assert path.read_bytes() == text.encode()
+    path = tmp_path / "attr.ply"
+    save_mesh(tetrahedron, path, scalars=[0.5, -0.0, 1 / 3, 2e-300],
+              colors=[[230, 25, 75], [0, 0, 0], [255, 255, 255], [1, 2, 3]])
+    extras = ["0.5 230 25 75", "-0 0 0 0", "0.33333333333333331 255 255 255",
+              "2.0000000000000001e-300 1 2 3"]
+    assert path.read_bytes() == (
+        ply_head + "property double quality\nproperty uchar red\n"
+        "property uchar green\nproperty uchar blue\n" + ply_tail
+        + "".join(f"{row} {extra}\n" for row, extra in zip(xyz, extras)) + faces
+    ).encode()
+
+
+@pytest.mark.parametrize("text, line", MALFORMED_PLY)
+def test_malformed_ply_parse_error(tmp_path, text, line):
+    p = tmp_path / "bad.ply"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == line
