@@ -1,16 +1,22 @@
 """ASCII OBJ / OFF / PLY readers and writers.
 
-Readers accept polygonal faces and fan-triangulate them with a warning;
-faces that would repeat a vertex after triangulation are dropped (also with
-a warning) so that loaded meshes always satisfy the TriangleMesh
-invariants. Writers emit LF line endings and full double precision.
-Only PLY carries optional per-vertex attributes: a float `quality` scalar
-channel and uchar `red`/`green`/`blue` colors.
+Every reader takes its lines from `_lines`, which decodes UTF-8 with
+undecodable bytes replaced and skips blank and `#` lines in all three
+formats. Rows go straight into flat typed arrays (float64 coordinates and
+quality, int64 colors and indices), and faces into a CSR pair of flat
+indices and per-row sizes. Polygons are fan-triangulated with a warning;
+triangles that repeat a vertex are dropped (also with a warning) so that
+loaded meshes always satisfy the TriangleMesh invariants. A `COFF` file
+reads as OFF with its color columns ignored. Writers emit LF line endings
+and full double precision. Only PLY carries optional per-vertex attributes:
+a float `quality` scalar channel and uchar `red`/`green`/`blue` colors.
 """
 
 from __future__ import annotations
 
 import warnings
+from array import array
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,227 +30,208 @@ from .errors import (
 from .mesh import TriangleMesh, _releases_memory
 
 _FORMATS = ("obj", "off", "ply")
+_OFF_HEADERS = ("OFF", "COFF")
+_OBJ_KEYS = ("v", "f", "vn", "vt", "mtllib", "o", "g")
+
+
+def _lines(path):
+    """Yield (lineno, tokens) for each line that is neither blank nor a `#`
+    comment; past the end, yield (lineno, []) for ever, numbered on as
+    readline would, so a reader short of rows sees empty ones."""
+    lineno = 0
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split()
+            if tokens and not tokens[0].startswith("#"):
+                yield lineno, tokens
+    yield from zip(count(lineno + 1), repeat([]))
+
+
+def _row(out, tokens, columns, path, lineno):
+    """Append tokens[c] for each c in `columns` to the array `out`, as float
+    for typecode 'd' and int for 'q'; a missing or bad token is a ParseError."""
+    parse = float if out.typecode == "d" else int
+    try:
+        out.extend(map(parse, map(tokens.__getitem__, columns)))
+    except (IndexError, ValueError, OverflowError):
+        raise ParseError(f"bad row {tokens!r}", path, lineno)
+
+
+def _face_size(k, path, lineno):
+    if k < 3:
+        raise ParseError(f"face with {k} indices", path, lineno)
+    return k
+
+
+def _face_row(flat, sizes, tokens, path, lineno):
+    """Append an OFF/PLY face row `k i1 .. ik` to the CSR pair (flat, sizes);
+    columns after i_k (face colors) are ignored."""
+    _row(sizes, tokens, (0,), path, lineno)
+    _row(flat, tokens, range(1, 1 + _face_size(sizes[-1], path, lineno)), path, lineno)
 
 
 def _detect_format(path: Path) -> str:
     suffix = path.suffix.lower().lstrip(".")
     if suffix in _FORMATS:
         return suffix
-    with open(path, "r", errors="replace") as fh:
-        for line in fh:
-            token = line.strip()
-            if not token or token.startswith("#"):
-                continue
-            if token.lower() == "ply":
-                return "ply"
-            if token.split()[0] in ("OFF", "COFF"):
-                return "off"
-            if token.split()[0] in ("v", "f", "vn", "vt", "mtllib", "o", "g"):
-                return "obj"
-            break
+    _, tokens = next(_lines(path))
+    head = tokens[0] if tokens else ""
+    if len(tokens) == 1 and head.lower() == "ply":
+        return "ply"
+    if head in _OFF_HEADERS:
+        return "off"
+    if head in _OBJ_KEYS:
+        return "obj"
     raise UnsupportedFormat(f"{path}: cannot determine mesh format")
 
 
-def _fan_triangulate(polygons, path):
-    """Split polygons into triangle fans; drop degenerate triangles."""
-    tris = []
-    fanned = 0
-    dropped = 0
-    for poly in polygons:
-        if len(poly) < 3:
-            raise ParseError(f"face with {len(poly)} indices", path)
-        if len(poly) > 3:
-            fanned += 1
-        for t in range(1, len(poly) - 1):
-            a, b, c = poly[0], poly[t], poly[t + 1]
-            if a == b or b == c or c == a:
-                dropped += 1
-                continue
-            tris.append((a, b, c))
+def _fan_triangulate(flat, sizes, path):
+    """Split the CSR polygons into fans (i0, it, it+1) in row order; drop
+    triangles that repeat a vertex."""
+    flat = np.frombuffer(flat, dtype=np.int64)
+    sizes = np.frombuffer(sizes, dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # where each row starts in flat
+    row = np.repeat(np.arange(len(sizes)), sizes - 2)  # each triangle's row
+    second = np.arange(len(row)) + 2 * row + 1  # its second corner in flat
+    tris = np.column_stack([flat[first[row]], flat[second], flat[second + 1]])
+    a, b, c = tris.T
+    keep = (a != b) & (b != c) & (c != a)
+    fanned = int(np.count_nonzero(sizes > 3))
+    dropped = len(tris) - int(np.count_nonzero(keep))
     if fanned:
         warnings.warn(f"{path}: fan-triangulated {fanned} non-triangle faces")
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} degenerate faces")
+        tris = tris[keep]
     return tris
 
 
-def _parse_floats(tokens, count, path, lineno):
-    try:
-        if len(tokens) >= count:
-            return [float(t) for t in tokens[:count]]
-    except ValueError:
-        pass
-    raise ParseError(f"expected {count} numbers, got {tokens!r}", path, lineno)
-
-
 def _load_obj(path: Path):
-    vertices = []
-    polygons = []
-    for lineno, tokens in _meaningful_lines(path):
+    vertices, flat, sizes = array("d"), array("q"), array("q")
+    for lineno, tokens in _lines(path):
+        if not tokens:
+            break
         key = tokens[0]
         if key == "v":
-            vertices.append(_parse_floats(tokens[1:], 3, path, lineno))
+            _row(vertices, tokens, (1, 2, 3), path, lineno)
         elif key == "f":
-            poly = []
+            sizes.append(_face_size(len(tokens) - 1, path, lineno))
+            n = len(vertices) // 3
             for tok in tokens[1:]:
-                head = tok.split("/")[0]
                 try:
-                    idx = int(head)
-                except ValueError:
+                    idx = int(tok.partition("/")[0])
+                    if idx:
+                        flat.append(idx - 1 if idx > 0 else idx + n)
+                except (ValueError, OverflowError):
                     raise ParseError(f"bad face index {tok!r}", path, lineno)
-                if idx > 0:
-                    idx -= 1
-                elif idx < 0:
-                    idx += len(vertices)
-                else:
+                if not idx:
                     raise ParseError("face index 0 is not valid", path, lineno)
-                poly.append(idx)
-            polygons.append(poly)
         # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are ignored
-    return vertices, polygons, None, None
-
-
-def _meaningful_lines(path):
-    """Yield (lineno, tokens) for non-blank, non-comment lines."""
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line.split()
-
-
-def _next_line(lines, path, message):
-    try:
-        return next(lines)
-    except StopIteration:
-        raise ParseError(message, path)
+    return vertices, flat, sizes, None, None
 
 
 def _load_off(path: Path):
-    lines = _meaningful_lines(path)
-    lineno, tokens = _next_line(lines, path, "empty file")
-    if tokens[0] != "OFF":
+    lines = _lines(path)
+    lineno, tokens = next(lines)
+    if not tokens:
+        raise ParseError("empty file", path)
+    if tokens[0] not in _OFF_HEADERS:
         raise ParseError(f"missing OFF header, got {tokens[0]!r}", path, lineno)
-    if len(tokens) >= 4:
-        counts = tokens[1:4]
-    else:
-        lineno, counts = _next_line(lines, path, "missing vertex/face counts")
+    counts = tokens[1:4]
+    if len(tokens) < 4:
+        lineno, counts = next(lines)
+        if not counts:
+            raise ParseError("missing vertex/face counts", path)
     try:
         n_vert, n_face = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
         raise ParseError(f"bad count line {counts!r}", path, lineno)
-    vertices = []
+    vertices, flat, sizes = array("d"), array("q"), array("q")
     for _ in range(n_vert):
-        lineno, tokens = _next_line(lines, path, "unexpected end of file in vertex list")
-        vertices.append(_parse_floats(tokens, 3, path, lineno))
-    polygons = []
+        lineno, tokens = next(lines)
+        if not tokens:
+            raise ParseError("unexpected end of file in vertex list", path)
+        _row(vertices, tokens, (0, 1, 2), path, lineno)
     for _ in range(n_face):
-        lineno, tokens = _next_line(lines, path, "unexpected end of file in face list")
-        try:
-            k = int(tokens[0])
-            poly = [int(t) for t in tokens[1:1 + k]]
-        except ValueError:
-            raise ParseError(f"bad face line {tokens!r}", path, lineno)
-        if len(poly) != k:
-            raise ParseError(f"face declares {k} indices, has {len(poly)}", path, lineno)
-        polygons.append(poly)
-    return vertices, polygons, None, None
+        lineno, tokens = next(lines)
+        if not tokens:
+            raise ParseError("unexpected end of file in face list", path)
+        _face_row(flat, sizes, tokens, path, lineno)
+    return vertices, flat, sizes, None, None
 
 
 def _load_ply(path: Path):
-    with open(path, "r", errors="replace") as fh:
-        lineno = 1
-        if fh.readline().strip() != "ply":
-            raise ParseError("missing 'ply' magic", path, lineno)
-        elements = []  # (name, count, [(kind, name)]) with kind 'scalar'|'list'
-        fmt_seen = False
-        while True:
-            lineno += 1
-            raw = fh.readline()
-            if not raw:
-                raise ParseError("unexpected end of header", path, lineno)
-            tokens = raw.strip().split()
-            if not tokens or tokens[0] == "comment":
-                continue
-            if tokens[0] == "format":
-                if len(tokens) < 2 or tokens[1] != "ascii":
-                    raise UnsupportedFormat(f"{path}: only ASCII PLY is supported")
-                fmt_seen = True
-            elif tokens[0] == "element":
-                try:
-                    elements.append((tokens[1], int(tokens[2]), []))
-                except (IndexError, ValueError):
-                    raise ParseError(f"bad element line {raw.strip()!r}", path, lineno)
-            elif tokens[0] == "property":
-                if not elements:
-                    raise ParseError("property before element", path, lineno)
-                if len(tokens) < 3:
-                    raise ParseError(f"bad property line {raw.strip()!r}", path, lineno)
-                kind = "list" if tokens[1] == "list" else "scalar"
-                elements[-1][2].append((kind, tokens[-1]))
-            elif tokens[0] == "end_header":
-                break
-            else:
-                raise ParseError(f"unknown header line {raw.strip()!r}", path, lineno)
-        if not fmt_seen:
-            raise ParseError("missing format line", path, lineno)
+    lines = _lines(path)
+    lineno, tokens = next(lines)
+    if (lineno, tokens) != (1, ["ply"]):
+        raise ParseError("missing 'ply' magic", path, 1)
+    elements = []  # (name, count, [(kind, name)]) with kind 'scalar'|'list'
+    fmt_seen = False
+    while True:
+        lineno, tokens = next(lines)
+        if not tokens:
+            raise ParseError("unexpected end of header", path, lineno)
+        if tokens[0] == "comment":
+            continue
+        if tokens[0] == "format":
+            if len(tokens) < 2 or tokens[1] != "ascii":
+                raise UnsupportedFormat(f"{path}: only ASCII PLY is supported")
+            fmt_seen = True
+        elif tokens[0] == "element":
+            try:
+                elements.append((tokens[1], int(tokens[2]), []))
+            except (IndexError, ValueError):
+                raise ParseError(f"bad element line {tokens!r}", path, lineno)
+        elif tokens[0] == "property":
+            if not elements:
+                raise ParseError("property before element", path, lineno)
+            if len(tokens) < 3:
+                raise ParseError(f"bad property line {tokens!r}", path, lineno)
+            kind = "list" if tokens[1] == "list" else "scalar"
+            elements[-1][2].append((kind, tokens[-1]))
+        elif tokens[0] == "end_header":
+            break
+        else:
+            raise ParseError(f"unknown header line {tokens!r}", path, lineno)
+    if not fmt_seen:
+        raise ParseError("missing format line", path, lineno)
 
-        vertices = []
-        polygons = []
-        quality = None
-        colors = None
-        for name, count, props in elements:
-            if name == "vertex":
-                names = [p[1] for p in props]
-                try:
-                    xi, yi, zi = names.index("x"), names.index("y"), names.index("z")
-                except ValueError:
-                    raise ParseError("vertex element lacks x/y/z", path, lineno)
-                qi = names.index("quality") if "quality" in names else None
-                has_rgb = all(c in names for c in ("red", "green", "blue"))
-                if qi is not None:
-                    quality = []
-                if has_rgb:
-                    ri, gi, bi = (names.index(c) for c in ("red", "green", "blue"))
-                    colors = []
-                for _ in range(count):
-                    lineno += 1
-                    tokens = fh.readline().split()
-                    if len(tokens) < len(names):
-                        raise ParseError("short vertex row", path, lineno)
-                    try:
-                        vertices.append(
-                            [float(tokens[xi]), float(tokens[yi]), float(tokens[zi])]
-                        )
-                        if qi is not None:
-                            quality.append(float(tokens[qi]))
-                        if has_rgb:
-                            colors.append(
-                                [int(tokens[ri]), int(tokens[gi]), int(tokens[bi])]
-                            )
-                    except ValueError:
-                        raise ParseError(f"bad vertex row {tokens!r}", path, lineno)
-                    if has_rgb and not all(0 <= c <= 255 for c in colors[-1]):
+    vertices, flat, sizes = array("d"), array("q"), array("q")
+    quality = colors = None
+    for name, rows, props in elements:
+        if name == "vertex":
+            names = [p[1] for p in props]
+            try:
+                xyz = [names.index(c) for c in "xyz"]
+            except ValueError:
+                raise ParseError("vertex element lacks x/y/z", path, lineno)
+            q = rgb = ()
+            if "quality" in names:
+                quality, q = array("d"), (names.index("quality"),)
+            if all(c in names for c in ("red", "green", "blue")):
+                colors = array("q")
+                rgb = [names.index(c) for c in ("red", "green", "blue")]
+            for _ in range(rows):
+                lineno, tokens = next(lines)
+                if len(tokens) < len(names):
+                    raise ParseError("short vertex row", path, lineno)
+                _row(vertices, tokens, xyz, path, lineno)
+                if q:
+                    _row(quality, tokens, q, path, lineno)
+                if rgb:
+                    _row(colors, tokens, rgb, path, lineno)
+                    if not all(0 <= c <= 255 for c in colors[-3:]):
                         raise ParseError("color outside 0..255", path, lineno)
-            elif name == "face":
-                if not any(kind == "list" for kind, _ in props):
-                    raise ParseError("face element lacks a list property", path, lineno)
-                for _ in range(count):
-                    lineno += 1
-                    tokens = fh.readline().split()
-                    try:
-                        k = int(tokens[0])
-                        polygons.append([int(t) for t in tokens[1:1 + k]])
-                    except (ValueError, IndexError):
-                        raise ParseError(f"bad face row {tokens!r}", path, lineno)
-                    if len(polygons[-1]) != k:
-                        raise ParseError("face row shorter than declared", path, lineno)
-            else:
-                for _ in range(count):
-                    lineno += 1
-                    fh.readline()
-    return vertices, polygons, quality, colors
+        elif name == "face":
+            if not any(kind == "list" for kind, _ in props):
+                raise ParseError("face element lacks a list property", path, lineno)
+            for _ in range(rows):
+                lineno, tokens = next(lines)
+                _face_row(flat, sizes, tokens, path, lineno)
+        else:
+            for _ in range(rows):
+                lineno, _ = next(lines)
+    return vertices, flat, sizes, quality, colors
 
 
 _LOADERS = {"obj": _load_obj, "off": _load_off, "ply": _load_ply}
@@ -269,15 +256,15 @@ def load_mesh_attributes(path, fmt: str = "auto"):
         fmt = _detect_format(path)
     if fmt not in _FORMATS:
         raise UnsupportedFormat(f"unknown format {fmt!r}")
-    vertices, polygons, quality, colors = _LOADERS[fmt](path)
-    tris = _fan_triangulate(polygons, path)
-    verts = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
+    vertices, flat, sizes, quality, colors = _LOADERS[fmt](path)
+    faces = _fan_triangulate(flat, sizes, path)
+    verts = np.frombuffer(vertices, dtype=np.float64).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= len(verts)):
         raise FaceIndexError(f"{path}: face index out of range 0..{len(verts) - 1}")
     mesh = TriangleMesh(verts, faces)
-    q = np.asarray(quality, dtype=np.float64) if quality is not None else None
-    c = np.asarray(colors, dtype=np.uint8) if colors is not None else None
+    q = None if quality is None else np.frombuffer(quality, dtype=np.float64)
+    c = None if colors is None else (
+        np.frombuffer(colors, dtype=np.int64).reshape(-1, 3).astype(np.uint8))
     return mesh, q, c
 
 
@@ -319,6 +306,8 @@ def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
         colors = np.asarray(colors, dtype=np.int64).reshape(-1, 3)
         if len(colors) != mesh.vertex_count:
             raise ValueError("color channel length != vertex count")
+        if ((colors < 0) | (colors > 255)).any():
+            raise ValueError("color outside 0..255")
         columns.append(colors)
         vertex_row += " %d %d %d"
         properties += "property uchar red\nproperty uchar green\nproperty uchar blue\n"

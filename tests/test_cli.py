@@ -225,6 +225,17 @@ def test_parse_error_exit_code(tmp_path):
     assert run("stats", "-i", bad) == 2
 
 
+def test_undecodable_byte_exit_codes(tmp_path, capsys):
+    body = b"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+    comment = tmp_path / "comment.obj"
+    comment.write_bytes(b"# caf\xe9\n" + body)
+    assert run("stats", "-i", comment) == 0
+    coordinate = tmp_path / "coordinate.obj"
+    coordinate.write_bytes(body.replace(b"v 1 0 0", b"v 1\xe9 0 0"))
+    assert run("stats", "-i", coordinate) == 2
+    assert "coordinate.obj:2: " in capsys.readouterr().err
+
+
 def test_malformed_ply_exit_code(tmp_path, capsys):
     for k, case in enumerate(MALFORMED_PLY):
         text, line = case.values

@@ -1,5 +1,11 @@
+import warnings
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gcfmesh as g
 from gcfmesh import TriangleMesh, load_mesh, load_mesh_attributes, save_mesh
@@ -9,6 +15,7 @@ from gcfmesh.errors import (
     ParseError,
     UnsupportedFormat,
 )
+from gcfmesh.io import _fan_triangulate
 
 from conftest import MALFORMED_PLY, random_meshes
 
@@ -67,7 +74,45 @@ def test_round_trip(tmp_path, fmt):
         save_mesh(mesh, p)
         back = load_mesh(p)
         assert np.array_equal(back.faces, mesh.faces)
-        assert np.allclose(back.vertices, mesh.vertices, rtol=1e-9, atol=0)
+        assert np.array_equal(back.vertices, mesh.vertices)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+# Any finite double, with signed zero, subnormals and huge magnitudes drawn often.
+_COORD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300]),
+)
+
+
+@st.composite
+def _attributed_meshes(draw):
+    n = draw(st.integers(3, 12))
+    vertices = draw(hnp.arrays(np.float64, (n, 3), elements=_COORD))
+    quality = draw(hnp.arrays(np.float64, n, elements=_COORD))
+    colors = draw(hnp.arrays(np.int64, (n, 3), elements=st.integers(0, 255)))
+    faces = [(0, i, i + 1) for i in range(1, n - 1)]
+    return TriangleMesh(vertices, faces), quality, colors
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_attributed_meshes())
+def test_round_trip_bitwise_property(tmp_path, case):
+    mesh, quality, colors = case
+    for fmt in ("obj", "off", "ply"):
+        p = tmp_path / f"m.{fmt}"
+        extra = {"scalars": quality, "colors": colors} if fmt == "ply" else {}
+        save_mesh(mesh, p, **extra)
+        back, q, c = load_mesh_attributes(p)
+        assert _bits(back.vertices) == _bits(mesh.vertices)
+        assert _bits(back.faces) == _bits(mesh.faces)
+        if fmt == "ply":
+            assert _bits(q) == _bits(quality)
+            assert _bits(c) == _bits(colors.astype(np.uint8))
 
 
 def test_round_trip_preserves_winding(tmp_path):
@@ -192,3 +237,133 @@ def test_malformed_ply_parse_error(tmp_path, text, line):
     with pytest.raises(ParseError) as err:
         load_mesh(p)
     assert err.value.line == line
+
+
+def test_save_rejects_colors_outside_byte_range(tmp_path, tetrahedron):
+    p = tmp_path / "c.ply"
+    with pytest.raises(ValueError, match="0..255"):
+        save_mesh(tetrahedron, p,
+                  colors=[[300, 0, 0], [0, 0, 0], [0, 0, 0], [-1, 0, 0]])
+    assert not p.exists()
+
+
+def test_ply_color_extremes_round_trip(tmp_path, tetrahedron):
+    rgb = np.array([[0, 0, 0], [255, 255, 255], [0, 255, 0], [255, 0, 255]])
+    p = tmp_path / "c.ply"
+    save_mesh(tetrahedron, p, colors=rgb)
+    _, _, colors = load_mesh_attributes(p)
+    assert colors.dtype == np.uint8
+    assert np.array_equal(colors, rgb)
+
+
+COFF_TRIANGLE = ("COFF\n3 1 0\n0 0 0 255 0 0 255\n1 0 0 0 255 0 255\n"
+                 "0 1 0 0 0 255 255\n3 0 1 2\n")
+
+
+@pytest.mark.parametrize("name", ["tri.off", "noext"])
+def test_coff_loads_like_off(tmp_path, name):
+    p = tmp_path / name
+    p.write_text(COFF_TRIANGLE)
+    q = tmp_path / "twin.off"
+    q.write_text(OFF_MINIMAL)
+    a, b = load_mesh(p), load_mesh(q)
+    assert _bits(a.vertices) == _bits(b.vertices)
+    assert _bits(a.faces) == _bits(b.faces)
+
+
+PLY_TRIANGLE = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                "property double y\nproperty double z\nelement face 1\n"
+                "property list uchar int vertex_indices\nend_header\n")
+
+# One triangle per format; `{}` is the x of the first vertex.
+TRIANGLES = {
+    "obj": "v {} 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",
+    "off": "OFF\n3 1 0\n{} 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "ply": PLY_TRIANGLE + "{} 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TRIANGLES))
+def test_undecodable_byte_in_comment_loads(tmp_path, fmt):
+    lines = TRIANGLES[fmt].format(0).encode().split(b"\n")
+    lines.insert(1, b"comment caf\xe9" if fmt == "ply" else b"# caf\xe9")
+    p = tmp_path / f"latin1.{fmt}"
+    p.write_bytes(b"\n".join(lines))
+    assert load_mesh(p).faces.tolist() == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("fmt", sorted(TRIANGLES))
+def test_undecodable_byte_in_coordinate_is_parse_error(tmp_path, fmt):
+    text = TRIANGLES[fmt].format("0\udce9")  # writes the lone byte 0xe9
+    p = tmp_path / f"latin1.{fmt}"
+    p.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == text[:text.index("\udce9")].count("\n") + 1
+
+
+def test_ply_skips_blank_and_comment_lines(tmp_path):
+    p = tmp_path / "blank.ply"
+    head = PLY_TRIANGLE.replace("end_header", "# written by hand\nend_header")
+    p.write_text(head + "0 0 0\n\n1 0 0\n# note\n0 1 0\n   \n3 0 1 2\n")
+    q = tmp_path / "plain.ply"
+    q.write_text(TRIANGLES["ply"].format(0))
+    a, b = load_mesh(p), load_mesh(q)
+    assert _bits(a.vertices) == _bits(b.vertices)
+    assert _bits(a.faces) == _bits(b.faces)
+
+
+# A two-index face after one triangle, in each format, and the line it is on.
+SHORT_FACE = {
+    "obj": ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2\n", 5),
+    "off": ("OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n2 0 1\n", 7),
+    "ply": (PLY_TRIANGLE.replace("face 1", "face 2")
+            + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n2 0 1\n", 14),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SHORT_FACE))
+def test_short_face_has_line_number(tmp_path, fmt):
+    text, line = SHORT_FACE[fmt]
+    p = tmp_path / f"short.{fmt}"
+    p.write_text(text)
+    with pytest.raises(ParseError, match="face with 2 indices") as err:
+        load_mesh(p)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("fmt", sorted(SHORT_FACE))
+def test_face_index_past_int64_is_parse_error(tmp_path, fmt):
+    text, line = SHORT_FACE[fmt]
+    big = str(2**64)
+    text = text.replace("f 1 2\n", f"f 1 2 {big}\n")
+    text = text.replace("2 0 1\n", f"3 0 1 {big}\n")
+    p = tmp_path / f"big.{fmt}"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == line
+
+
+@settings(max_examples=60, deadline=None)
+@given(polygons=st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=7)))
+def test_fan_triangulate_matches_polygon_loop(polygons):
+    expected, fanned, dropped = [], 0, 0
+    for poly in polygons:
+        fanned += len(poly) > 3
+        for t in range(1, len(poly) - 1):
+            a, b, c = poly[0], poly[t], poly[t + 1]
+            if a == b or b == c or c == a:
+                dropped += 1
+            else:
+                expected.append([a, b, c])
+    flat = array("q", [i for poly in polygons for i in poly])
+    sizes = array("q", [len(poly) for poly in polygons])
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        tris = _fan_triangulate(flat, sizes, "p")
+    assert tris.dtype == np.int64 and tris.shape == (len(expected), 3)
+    assert tris.tolist() == expected
+    assert [str(w.message) for w in record] == (
+        [f"p: fan-triangulated {fanned} non-triangle faces"] * bool(fanned)
+        + [f"p: dropped {dropped} degenerate faces"] * bool(dropped))
