@@ -9,18 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh
+from .mesh import MeshTopology, TriangleMesh, _scatter
 
 
 def _centroids(positions, topology):
     n = len(positions)
     deg = topology.ring_sizes
-    centers = np.repeat(np.arange(n), deg)
-    sums = np.empty((n, 3))
-    for c in range(3):
-        sums[:, c] = np.bincount(
-            centers, weights=positions[topology.ring_flat, c], minlength=n
-        )
+    sums = _scatter(np.repeat(np.arange(n), deg), positions, topology.ring_flat, n)
     out = positions.copy()
     ok = deg > 0
     out[ok] = sums[ok] / deg[ok, None]
@@ -32,18 +27,24 @@ def _umbrella_pass(positions, topology, factor, movable):
     positions[movable] += factor * (centroids[movable] - positions[movable])
 
 
-def laplacian_smooth(mesh: TriangleMesh, topology: MeshTopology,
-                     iterations: int, lam: float = 0.5) -> TriangleMesh:
-    """Umbrella operator: v <- v + lam * (centroid(ring) - v), repeated."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must be in [0, 1]")
+def _smooth(mesh, topology, iterations, factors):
+    """Run one umbrella pass per factor in `factors`, `iterations` times."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     movable = (~topology.is_boundary) & topology.is_manifold_fan
     positions = mesh.vertices.copy()
     for _ in range(iterations):
-        _umbrella_pass(positions, topology, lam, movable)
+        for factor in factors:
+            _umbrella_pass(positions, topology, factor, movable)
     return TriangleMesh(positions, mesh.faces.copy())
+
+
+def laplacian_smooth(mesh: TriangleMesh, topology: MeshTopology,
+                     iterations: int, lam: float = 0.5) -> TriangleMesh:
+    """Umbrella operator: v <- v + lam * (centroid(ring) - v), repeated."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must be in [0, 1]")
+    return _smooth(mesh, topology, iterations, (lam,))
 
 
 def taubin_smooth(mesh: TriangleMesh, topology: MeshTopology,
@@ -55,11 +56,4 @@ def taubin_smooth(mesh: TriangleMesh, topology: MeshTopology,
         raise ValueError("lam must be > 0")
     if mu > 0.0:
         raise ValueError("mu must be <= 0")
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
-    movable = (~topology.is_boundary) & topology.is_manifold_fan
-    positions = mesh.vertices.copy()
-    for _ in range(iterations):
-        _umbrella_pass(positions, topology, lam, movable)
-        _umbrella_pass(positions, topology, mu, movable)
-    return TriangleMesh(positions, mesh.faces.copy())
+    return _smooth(mesh, topology, iterations, (lam, mu))

@@ -2,9 +2,15 @@
 
 Per vertex, the deficit is 2*pi minus the sum of the incident triangle
 angles at that vertex; dividing by the summed incident triangle areas gives
-the discrete Gaussian curvature. Angles use atan2 of cross/dot for
-stability near 0 and pi. The summed |K| over vertices is the curvature
-energy used as the smoothing objective and convergence trace.
+the discrete Gaussian curvature. The summed |K| over vertices is the
+curvature energy used as the smoothing objective and convergence trace.
+
+Lengths, normals, angles and per-vertex sums come from the row helpers in
+`mesh`, shared with the filter, the metrics and the baselines. Angles are
+atan2(|a x b|, a . b), stable near 0 and pi. `_unit` keeps vectors whose
+length is >= its cutoff, so the strict cutoffs here (a face is degenerate
+at zero length, a vertex normal at or below 1e-14 times the largest face
+area) pass it the next float above their threshold.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh, _cross3, _releases_memory
+from .mesh import (MeshTopology, TriangleMesh, _angle, _cross3, _norm,
+                   _releases_memory, _scatter, _unit)
 
 
 @dataclass(eq=False)
@@ -41,14 +48,10 @@ def face_normals(mesh: TriangleMesh):
     """
     v = mesh.vertices
     f = mesh.faces
-    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    cross = _cross3(p1 - p0, p2 - p0)
-    mag = np.sqrt((cross * cross).sum(axis=1))
-    areas = 0.5 * mag
-    degenerate = mag == 0.0
-    normals = np.zeros_like(cross)
-    np.divide(cross, mag[:, None], out=normals, where=~degenerate[:, None])
-    return normals, areas, degenerate
+    p0 = v[f[:, 0]]
+    cross = _cross3(v[f[:, 1]] - p0, v[f[:, 2]] - p0)
+    normals, ok = _unit(cross, np.nextafter(0.0, np.inf))
+    return normals, 0.5 * _norm(cross), ~ok
 
 
 def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
@@ -58,42 +61,13 @@ def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
     sum nearly cancels (magnitude <= 1e-14 * max face area) get a zero
     normal and the flag.
     """
-    n = mesh.vertex_count
-    fnormals, areas, _ = face_normals(mesh)
-    weighted = fnormals * areas[:, None]
-    idx = mesh.faces.ravel()
-    acc = np.zeros((n, 3))
-    for c in range(3):
-        acc[:, c] = np.bincount(idx, weights=np.repeat(weighted[:, c], 3), minlength=n)
-    mag = np.sqrt((acc * acc).sum(axis=1))
+    weighted, areas, _ = face_normals(mesh)
+    weighted *= areas[:, None]
+    acc = _scatter(mesh.faces.ravel(), weighted, np.arange(len(areas)).repeat(3),
+                   mesh.vertex_count)
     max_area = float(areas.max()) if len(areas) else 0.0
-    degenerate = mag <= 1e-14 * max_area
-    normals = np.zeros_like(acc)
-    np.divide(acc, mag[:, None], out=normals, where=~degenerate[:, None])
-    return normals, degenerate
-
-
-def deficit_and_ring_area(positions: np.ndarray, faces: np.ndarray, vertex_count: int):
-    """Angular deficit and summed incident-triangle area per vertex.
-
-    Vertices without incident faces keep the full 2*pi deficit and zero
-    area; callers decide how to interpret them.
-    """
-    deficit = np.full(vertex_count, 2.0 * np.pi)
-    ring_area = np.zeros(vertex_count)
-    p = [positions[faces[:, c]] for c in range(3)]
-    for c in range(3):
-        e1 = p[(c + 1) % 3] - p[c]
-        e2 = p[(c + 2) % 3] - p[c]
-        cr = _cross3(e1, e2)
-        sin_term = np.sqrt((cr * cr).sum(axis=1))
-        if c == 0:
-            areas = 0.5 * sin_term  # corner 0 spans the face's own edges
-        cos_term = (e1 * e2).sum(axis=1)
-        angles = np.arctan2(sin_term, cos_term)
-        deficit -= np.bincount(faces[:, c], weights=angles, minlength=vertex_count)
-        ring_area += np.bincount(faces[:, c], weights=areas, minlength=vertex_count)
-    return deficit, ring_area
+    normals, ok = _unit(acc, np.nextafter(1e-14 * max_area, np.inf))
+    return normals, ~ok
 
 
 def curvature_field(positions: np.ndarray, faces: np.ndarray,
@@ -101,16 +75,22 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     """Curvature field of the given positions; is_boundary is stored as is.
 
     Shared by the public curvature field and the filter's energy trace.
+    Vertices without incident faces keep the full 2*pi deficit, zero area
+    and zero curvature.
     """
-    deficit, ring_area = deficit_and_ring_area(positions, faces, len(positions))
-    curvature = np.zeros_like(deficit)
+    n = len(positions)
+    deficit = np.full(n, 2.0 * np.pi)
+    ring_area = np.zeros(n)
+    p = [positions[faces[:, c]] for c in range(3)]
+    for c in range(3):
+        angles, sines = _angle(p[(c + 1) % 3] - p[c], p[(c + 2) % 3] - p[c])
+        if c == 0:
+            areas = 0.5 * sines  # corner 0 spans the face's own edges
+        deficit -= np.bincount(faces[:, c], weights=angles, minlength=n)
+        ring_area += np.bincount(faces[:, c], weights=areas, minlength=n)
+    curvature = np.zeros(n)
     np.divide(deficit, ring_area, out=curvature, where=ring_area > 0)
-    return CurvatureField(
-        curvature=curvature,
-        ring_area=ring_area,
-        deficit=deficit,
-        is_boundary=is_boundary,
-    )
+    return CurvatureField(curvature, ring_area, deficit, is_boundary)
 
 
 @_releases_memory

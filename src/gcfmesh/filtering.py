@@ -37,7 +37,7 @@ import numpy as np
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .mesh import (MeshTopology, TriangleMesh, _cross3, _releases_memory,
-                   mean_edge_length)
+                   _unit, mean_edge_length)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -90,15 +90,6 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
             groups.append((rows, rings))
         plan.append(groups)
     return plan
-
-
-def _unit(v, tol):
-    """(v / |v|, |v| >= tol) along the last axis; vectors below tol are zero."""
-    mag = np.sqrt((v * v).sum(axis=-1))
-    ok = mag >= tol
-    unit = np.zeros_like(v)
-    np.divide(v, mag[..., None], out=unit, where=ok[..., None])
-    return unit, ok
 
 
 def _kernel(snapshot, rows, rings, dir_tol, normal_tol):

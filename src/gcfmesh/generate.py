@@ -5,6 +5,14 @@ All closed generators emit consistent outward winding. The cylinder reuses
 one cos/sin table across height levels so that vertices stacked on a
 generatrix share bit-identical x/y coordinates, which keeps axial edges
 exactly axial.
+
+No generator loops over vertices, faces or rings in Python. `grid` and
+`cube` split index lattices into triangle pairs cell by cell with `_quads`;
+`icosphere` (edge midpoints) and `cube` (points shared by sides) number
+shared vertices in order of first use with `_weld`, so both keep the vertex
+and face order of a per-element walk. The cylinder and cone build all bands
+at once with `_band_faces`, which lists each band's triangles block by
+block.
 """
 
 from __future__ import annotations
@@ -28,48 +36,66 @@ _ICO_FACES = [
 ]
 
 
+def _on_sphere(v, radius):
+    """Rows of v scaled to length radius. The batched row product rounds each
+    squared length as np.linalg.norm of the single row does."""
+    return v / np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0] * radius
+
+
+def _weld(keys):
+    """Number the distinct values of the int64 `keys` in order of first use;
+    returns (the index of each value's first use, each key's number)."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return first[order], number[inverse]
+
+
+def _quads(lattice):
+    """Two triangles (a, b, c), (a, c, d) per cell of a vertex-index lattice
+    (..., u, v), cell by cell in row-major order, where a = [u, v],
+    b = [u+1, v], c = [u+1, v+1] and d = [u, v+1]."""
+    a, b = lattice[..., :-1, :-1], lattice[..., 1:, :-1]
+    c, d = lattice[..., 1:, 1:], lattice[..., :-1, 1:]
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
+
+
 def icosphere(subdivisions: int = 2, radius: float = 1.0) -> TriangleMesh:
     """Subdivided icosahedron projected onto a sphere.
 
-    Vertex count is 10 * 4**subdivisions + 2.
+    Vertex count is 10 * 4**subdivisions + 2. Each level splits every face
+    into four; edge midpoints are numbered in order of first use, face by
+    face and edge (a, b), (b, c), (c, a) within a face.
     """
     if subdivisions < 0:
         raise BadResolution("subdivisions must be >= 0")
-    verts = [v / np.linalg.norm(v) * radius for v in _ICO_VERTS]
-    faces = list(_ICO_FACES)
+    verts = _on_sphere(_ICO_VERTS, radius)
+    faces = np.array(_ICO_FACES)
     for _ in range(subdivisions):
-        midpoint_of = {}
-
-        def midpoint(a, b):
-            key = (a, b) if a < b else (b, a)
-            idx = midpoint_of.get(key)
-            if idx is None:
-                m = verts[a] + verts[b]
-                verts.append(m / np.linalg.norm(m) * radius)
-                idx = len(verts) - 1
-                midpoint_of[key] = idx
-            return idx
-
-        split = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            split += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = split
-    return TriangleMesh(np.asarray(verts), np.asarray(faces))
+        a, b, c = faces.T
+        edges = np.stack([a, b, b, c, c, a], axis=1).reshape(-1, 2)
+        edges.sort(axis=1)
+        first, number = _weld(edges[:, 0] * len(verts) + edges[:, 1])
+        ab, bc, ca = (len(verts) + number).reshape(-1, 3).T
+        mids = edges[first]
+        verts = np.concatenate(
+            [verts, _on_sphere(verts[mids[:, 0]] + verts[mids[:, 1]], radius)])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return TriangleMesh(verts, faces)
 
 
-def _band_faces(segments, lower_row, upper_row):
-    """Two triangles per quad between two vertex rows around the axis."""
+def _band_faces(segments, bands):
+    """Two triangles per quad between consecutive vertex rows around the
+    axis, band by band; each band lists its (a, b, c) triangles, then its
+    (a, c, d) triangles."""
     i = np.arange(segments)
-    i1 = (i + 1) % segments
-    a = lower_row + i
-    b = lower_row + i1
-    c = upper_row + i1
-    d = upper_row + i
-    return np.concatenate([
-        np.stack([a, b, c], axis=1),
-        np.stack([a, c, d], axis=1),
-    ])
+    lower = segments * np.arange(bands)[:, None]
+    a, b = lower + i, lower + (i + 1) % segments
+    c, d = b + segments, a + segments
+    return np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)],
+                    axis=1).reshape(-1, 3)
 
 
 def cylinder(segments: int = 32, rings: int = 16, radius: float = 1.0,
@@ -92,14 +118,13 @@ def cylinder(segments: int = 32, rings: int = 16, radius: float = 1.0,
     verts[bottom_center] = (0.0, 0.0, zs[0])
     verts[top_center] = (0.0, 0.0, zs[-1])
 
-    bands = [_band_faces(segments, j * segments, (j + 1) * segments)
-             for j in range(rings)]
     i = np.arange(segments)
     i1 = (i + 1) % segments
     bottom = np.stack([np.full(segments, bottom_center), i1, i], axis=1)
     top_row = rings * segments
     top = np.stack([np.full(segments, top_center), top_row + i, top_row + i1], axis=1)
-    return TriangleMesh(verts, np.concatenate(bands + [bottom, top]))
+    return TriangleMesh(verts, np.concatenate([_band_faces(segments, rings),
+                                               bottom, top]))
 
 
 def cone(segments: int = 32, rings: int = 8, radius: float = 1.0,
@@ -115,25 +140,22 @@ def cone(segments: int = 32, rings: int = 8, radius: float = 1.0,
         raise BadResolution("rings must be >= 1")
     theta = np.arange(segments) * (2.0 * np.pi / segments)
     cs, sn = np.cos(theta), np.sin(theta)
-    rows = []
-    for j in range(rings):
-        rj = radius * (rings - j) / rings
-        zj = -height / 2.0 + j * height / rings
-        rows.append(np.stack([rj * cs, rj * sn, np.full(segments, zj)], axis=1))
+    j = np.arange(rings)
+    rj = (radius * (rings - j) / rings)[:, None]
+    zj = -height / 2.0 + j * height / rings
+    verts = np.concatenate([
+        np.column_stack([(rj * cs).ravel(), (rj * sn).ravel(), zj.repeat(segments)]),
+        [[0.0, 0.0, height / 2.0], [0.0, 0.0, -height / 2.0]],
+    ])
     apex = segments * rings
     base_center = apex + 1
-    verts = np.concatenate(rows + [
-        np.array([[0.0, 0.0, height / 2.0]]),
-        np.array([[0.0, 0.0, -height / 2.0]]),
-    ])
-    bands = [_band_faces(segments, j * segments, (j + 1) * segments)
-             for j in range(rings - 1)]
     i = np.arange(segments)
     i1 = (i + 1) % segments
     top_row = (rings - 1) * segments
     tip = np.stack([top_row + i, top_row + i1, np.full(segments, apex)], axis=1)
     base = np.stack([np.full(segments, base_center), i1, i], axis=1)
-    return TriangleMesh(verts, np.concatenate(bands + [tip, base]))
+    return TriangleMesh(verts, np.concatenate([_band_faces(segments, rings - 1),
+                                               tip, base]))
 
 
 # (u axis, v axis, fixed axis, fixed at high end) per face, right-handed so
@@ -150,35 +172,17 @@ def cube(resolution: int = 4, size: float = 2.0) -> TriangleMesh:
     welded along edges and corners; closed, outward winding."""
     if resolution < 1:
         raise BadResolution("resolution must be >= 1")
-    ticks = np.linspace(-size / 2.0, size / 2.0, resolution + 1)
-    verts = []
-    index_of = {}
-
-    def vertex(key):
-        idx = index_of.get(key)
-        if idx is None:
-            idx = len(verts)
-            verts.append((ticks[key[0]], ticks[key[1]], ticks[key[2]]))
-            index_of[key] = idx
-        return idx
-
-    faces = []
-    for u_ax, v_ax, f_ax, high in _CUBE_SIDES:
-        fixed = resolution if high else 0
-        grid = np.empty((resolution + 1, resolution + 1), dtype=np.int64)
-        for u in range(resolution + 1):
-            for v in range(resolution + 1):
-                key = [0, 0, 0]
-                key[u_ax] = u
-                key[v_ax] = v
-                key[f_ax] = fixed
-                grid[u, v] = vertex(tuple(key))
-        for u in range(resolution):
-            for v in range(resolution):
-                a, b = grid[u, v], grid[u + 1, v]
-                c, d = grid[u + 1, v + 1], grid[u, v + 1]
-                faces += [(a, b, c), (a, c, d)]
-    return TriangleMesh(np.asarray(verts), np.asarray(faces))
+    r = resolution + 1
+    ticks = np.linspace(-size / 2.0, size / 2.0, r)
+    uu, vv = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
+    lattice = np.empty((len(_CUBE_SIDES), r, r, 3), dtype=np.int64)
+    for side, (u_ax, v_ax, f_ax, high) in zip(lattice, _CUBE_SIDES):
+        side[..., u_ax] = uu
+        side[..., v_ax] = vv
+        side[..., f_ax] = resolution if high else 0
+    points = lattice.reshape(-1, 3)
+    first, number = _weld(points @ np.array([r * r, r, 1]))
+    return TriangleMesh(ticks[points[first]], _quads(number.reshape(-1, r, r)))
 
 
 def grid(resolution: int = 8, spacing: float = 1.0) -> TriangleMesh:
@@ -190,17 +194,7 @@ def grid(resolution: int = 8, spacing: float = 1.0) -> TriangleMesh:
     verts = np.stack([
         ii.ravel() * spacing, jj.ravel() * spacing, np.zeros((n + 1) ** 2),
     ], axis=1)
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    faces = []
-    for i in range(n):
-        for j in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            faces += [(a, b, c), (a, c, d)]
-    return TriangleMesh(verts, np.asarray(faces))
+    return TriangleMesh(verts, _quads(np.arange(len(verts)).reshape(n + 1, n + 1)))
 
 
 _GENERATORS = {

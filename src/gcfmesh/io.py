@@ -134,14 +134,14 @@ def _load_off(path: Path):
     lines = _lines(path)
     lineno, tokens = next(lines)
     if not tokens:
-        raise ParseError("empty file", path)
+        raise ParseError("empty file", path, lineno)
     if tokens[0] not in _OFF_HEADERS:
         raise ParseError(f"missing OFF header, got {tokens[0]!r}", path, lineno)
     counts = tokens[1:4]
     if len(tokens) < 4:
         lineno, counts = next(lines)
         if not counts:
-            raise ParseError("missing vertex/face counts", path)
+            raise ParseError("missing vertex/face counts", path, lineno)
     try:
         n_vert, n_face = int(counts[0]), int(counts[1])
     except (ValueError, IndexError):
@@ -150,12 +150,12 @@ def _load_off(path: Path):
     for _ in range(n_vert):
         lineno, tokens = next(lines)
         if not tokens:
-            raise ParseError("unexpected end of file in vertex list", path)
+            raise ParseError("unexpected end of file in vertex list", path, lineno)
         _row(vertices, tokens, (0, 1, 2), path, lineno)
     for _ in range(n_face):
         lineno, tokens = next(lines)
         if not tokens:
-            raise ParseError("unexpected end of file in face list", path)
+            raise ParseError("unexpected end of file in face list", path, lineno)
         _face_row(flat, sizes, tokens, path, lineno)
     return vertices, flat, sizes, None, None
 
@@ -182,6 +182,8 @@ def _load_ply(path: Path):
                 elements.append((tokens[1], int(tokens[2]), []))
             except (IndexError, ValueError):
                 raise ParseError(f"bad element line {tokens!r}", path, lineno)
+            if [e[0] for e in elements].count("vertex") > 1:
+                raise ParseError("second vertex element", path, lineno)
         elif tokens[0] == "property":
             if not elements:
                 raise ParseError("property before element", path, lineno)
@@ -303,11 +305,14 @@ def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
         vertex_row += " %.17g"
         properties += "property double quality\n"
     if colors is not None:
-        colors = np.asarray(colors, dtype=np.int64).reshape(-1, 3)
+        colors = np.asarray(colors).reshape(-1, 3)
         if len(colors) != mesh.vertex_count:
             raise ValueError("color channel length != vertex count")
         if ((colors < 0) | (colors > 255)).any():
             raise ValueError("color outside 0..255")
+        if (np.floor(colors) != colors).any():
+            raise ValueError("color is not an integer")
+        colors = colors.astype(np.int64)
         columns.append(colors)
         vertex_row += " %d %d %d"
         properties += "property uchar red\nproperty uchar green\nproperty uchar blue\n"

@@ -12,6 +12,10 @@ from their smallest start, open fans (boundary vertices) from their head.
 The rest (inconsistent winding, three faces on one edge, several sheets at
 one vertex, chains or cycles that stop short) go to a winding-agnostic
 walk, and fans it cannot order are flagged non-manifold with a sorted ring.
+
+The row helpers at the end (`_cross3`, `_norm`, `_unit`, `_angle`,
+`_scatter`) are the one copy of each vector operation that the curvature,
+metrics, filter and baseline modules share.
 """
 
 from __future__ import annotations
@@ -300,8 +304,7 @@ def unique_edges(faces: np.ndarray, return_counts: bool = False):
 def _mean_length(positions, edges):
     if len(edges) == 0:
         raise EmptyMeshError("mesh has no faces")
-    seg = positions[edges[:, 0]] - positions[edges[:, 1]]
-    return float(np.sqrt((seg * seg).sum(axis=1)).mean())
+    return float(_norm(positions[edges[:, 0]] - positions[edges[:, 1]]).mean())
 
 
 def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
@@ -333,4 +336,34 @@ def _cross3(a, b):
     out[..., 0] = a1 * b2 - a2 * b1
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _norm(v):
+    """Euclidean length along the last axis."""
+    return np.sqrt((v * v).sum(axis=-1))
+
+
+def _unit(v, tol):
+    """(v / |v|, |v| >= tol) along the last axis; vectors below tol are zero."""
+    mag = _norm(v)
+    ok = mag >= tol
+    unit = np.zeros_like(v)
+    np.divide(v, mag[..., None], out=unit, where=ok[..., None])
+    return unit, ok
+
+
+def _angle(a, b):
+    """(angle between a and b, |a x b|) along the last axis; the angle is
+    atan2(|a x b|, a . b), which stays accurate near 0 and pi."""
+    sine = _norm(_cross3(a, b))
+    return np.arctan2(sine, (a * b).sum(axis=-1)), sine
+
+
+def _scatter(index, source, rows, n):
+    """(n, 3) sums: row i adds up source[rows[k]] over every k with
+    index[k] == i, in order of k. One column is gathered at a time."""
+    out = np.empty((n, 3))
+    for c in range(3):
+        out[:, c] = np.bincount(index, weights=source[rows, c], minlength=n)
     return out

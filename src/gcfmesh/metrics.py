@@ -18,7 +18,7 @@ from .curvature import CurvatureField, face_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import TriangleMesh, _cross3, _releases_memory, build_topology
+from .mesh import TriangleMesh, _angle, _norm, _releases_memory, build_topology
 
 _KLD_EPS = 1e-12
 
@@ -41,16 +41,17 @@ class Histogram:
     probs: np.ndarray
 
 
-def _normal_angles(processed: TriangleMesh, original: TriangleMesh):
+def _msae(processed: TriangleMesh, original: TriangleMesh):
+    """(mean face-normal angle in degrees, 0.0 without usable faces; number
+    of faces excluded as degenerate in either mesh)."""
     if not np.array_equal(processed.faces, original.faces):
         raise ConnectivityMismatch("meshes differ in face connectivity")
     np_proc, _, deg_p = face_normals(processed)
     np_orig, _, deg_o = face_normals(original)
     ok = ~(deg_p | deg_o)
-    cr = _cross3(np_proc[ok], np_orig[ok])
-    sin_term = np.sqrt((cr * cr).sum(axis=1))
-    cos_term = (np_proc[ok] * np_orig[ok]).sum(axis=1)
-    return np.arctan2(sin_term, cos_term), int((~ok).sum())
+    angles, _ = _angle(np_proc[ok], np_orig[ok])
+    mean_deg = float(np.degrees(angles.mean())) if len(angles) else 0.0
+    return mean_deg, int((~ok).sum())
 
 
 @_releases_memory
@@ -60,10 +61,7 @@ def msae(processed: TriangleMesh, original: TriangleMesh) -> float:
     Faces that are degenerate in either mesh are excluded. Requires
     identical connectivity.
     """
-    angles, _ = _normal_angles(processed, original)
-    if len(angles) == 0:
-        return 0.0
-    return float(np.degrees(angles.mean()))
+    return _msae(processed, original)[0]
 
 
 def vertex_distances(a: TriangleMesh, b: TriangleMesh):
@@ -72,8 +70,7 @@ def vertex_distances(a: TriangleMesh, b: TriangleMesh):
         raise CountMismatch(
             f"vertex counts differ: {a.vertex_count} vs {b.vertex_count}"
         )
-    seg = a.vertices - b.vertices
-    d = np.sqrt((seg * seg).sum(axis=1))
+    d = _norm(a.vertices - b.vertices)
     return float(d.mean()), float(d.max())
 
 
@@ -155,8 +152,7 @@ def metrics_report(test: TriangleMesh, reference: TriangleMesh, *,
     """
     if test.vertex_count != reference.vertex_count:
         raise CountMismatch("vertex counts differ")
-    angles, excluded = _normal_angles(test, reference)
-    msae_deg = float(np.degrees(angles.mean())) if len(angles) else 0.0
+    msae_deg, excluded = _msae(test, reference)
     d_mean, d_max = vertex_distances(test, reference)
     topology = build_topology(reference)
     field_ref = gaussian_curvature(reference, topology)

@@ -80,4 +80,8 @@ MALFORMED_PLY = [
                  + "element face 1\nproperty list uchar int vertex_indices\n"
                  + "end_header\n0 0 0 1 2 3\n1 0 0 300 0 0\n0 1 0 0 0 0\n3 0 1 2\n",
                  14, id="color-above-255"),
+    pytest.param(_PLY_HEAD + "element vertex 2\n" + _PLY_XYZ
+                 + "property double quality\nelement vertex 1\n" + _PLY_XYZ
+                 + "end_header\n0 0 0 5\n1 0 0 6\n0 1 0\n", 8,
+                 id="second-vertex-element"),
 ]

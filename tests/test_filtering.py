@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gcfmesh as g
 from gcfmesh import (
     FilterConfig,
     TriangleMesh,
     build_topology,
+    gaussian_curvature,
     gcf_filter,
     gcf_step,
     greedy_domain_decomposition,
@@ -217,6 +219,46 @@ def test_step_matches_reference_on_random_meshes():
         out = gcf_step(mesh.vertices, topo, col, edge_scale=el)
         expect = reference_step(mesh.vertices, topo, col, el)
         assert np.abs(out - expect).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60),
+       flip=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+       delete=st.floats(0.0, 0.4),
+       duplicate=st.booleans())
+def test_filter_on_irregular_patches(seed, n, flip, delete, duplicate):
+    # noisy Delaunay patches with flipped, deleted and repeated faces: the
+    # filter stays finite, frozen vertices stay bitwise, and where the
+    # winding is consistent one step stays in the oracle's band
+    from scipy.spatial import Delaunay
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pts = rng.random((n, 2))
+    faces = Delaunay(pts).simplices
+    flips = rng.random(len(faces)) < flip
+    faces[flips] = faces[flips, ::-1]
+    faces = faces[rng.random(len(faces)) >= delete]
+    assume(len(faces))
+    if duplicate:
+        faces = np.vstack([faces, faces[rng.integers(len(faces)), ::-1]])
+    mesh = TriangleMesh(np.column_stack([pts, 0.1 * rng.standard_normal(n)]), faces)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    out, trace = gcf_filter(mesh, topo, col,
+                            FilterConfig(iterations=3, capture_trace=True))
+    assert np.isfinite(out.vertices).all()
+    frozen = topo.is_boundary | ~topo.is_manifold_fan
+    assert np.array_equal(out.vertices[frozen], mesh.vertices[frozen])
+    assert len(trace.gce_per_iteration) == 4
+    assert np.isfinite(trace.gce_per_iteration).all()
+    field = gaussian_curvature(out, topo)
+    assert all(np.isfinite(a).all()
+               for a in (field.curvature, field.ring_area, field.deficit))
+    if not flips.any() and not duplicate:
+        el = mean_edge_length(mesh.vertices, mesh.faces)
+        step = gcf_step(mesh.vertices, topo, col, edge_scale=el)
+        expect = reference_step(mesh.vertices, topo, col, el)
+        assert np.abs(step - expect).max() < 1e-12
 
 
 def test_step_jacobi_single_domain_matches_reference():

@@ -247,6 +247,29 @@ def test_save_rejects_colors_outside_byte_range(tmp_path, tetrahedron):
     assert not p.exists()
 
 
+def test_save_rejects_non_integral_colors(tmp_path, tetrahedron):
+    p = tmp_path / "c.ply"
+    with pytest.raises(ValueError, match="not an integer"):
+        save_mesh(tetrahedron, p, colors=[[0.7, 1.9, 2.5]] * 4)
+    assert not p.exists()
+    save_mesh(tetrahedron, p, colors=np.full((4, 3), 7.0))
+    assert np.array_equal(load_mesh_attributes(p)[2], np.full((4, 3), 7))
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),
+    ("OFF\n", 2),
+    ("OFF\n3 1 0\n0 0 0\n", 4),
+    ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n", 6),
+], ids=["empty", "no-counts", "short-vertex-list", "short-face-list"])
+def test_off_end_of_input_has_line_number(tmp_path, text, line):
+    p = tmp_path / "cut.off"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == line
+
+
 def test_ply_color_extremes_round_trip(tmp_path, tetrahedron):
     rgb = np.array([[0, 0, 0], [255, 255, 255], [0, 255, 0], [255, 0, 255]])
     p = tmp_path / "c.ply"
