@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh, _scatter
+from .mesh import MeshTopology, TriangleMesh, _movable, _scatter
 
 
 def _centroids(positions, topology):
@@ -31,7 +31,7 @@ def _smooth(mesh, topology, iterations, factors):
     """Run one umbrella pass per factor in `factors`, `iterations` times."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    movable = (~topology.is_boundary) & topology.is_manifold_fan
+    movable = _movable(topology)
     positions = mesh.vertices.copy()
     for _ in range(iterations):
         for factor in factors:

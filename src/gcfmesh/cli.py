@@ -1,19 +1,23 @@
 """Command-line frontend.
 
-Subcommands: filter, metrics, noise, gen, color, curvature, smooth, bench.
-Metric reports go to stdout as JSON; traces and benchmarks are CSV. Exit
-codes: 0 success, 2 parse/IO failure, 3 validation failure. GCF_THREADS
-sets the default worker count.
+Subcommands: filter, metrics, noise, gen, color, curvature, smooth, bench,
+stats. Each one runs as an action on a `_Run`, which loads `-i` and builds
+the topology and the coloring on first use, timing every phase. `main`
+resolves a mesh output's format before the action, saves the mesh the
+action returns and writes the `--manifest` JSON where the subcommand takes
+one. Metric reports go to stdout as JSON; traces and benchmarks are CSV.
+Exit codes: 0 success, 2 parse/IO failure, 3 validation failure.
+GCF_THREADS sets the default worker count of `filter`.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 import time
+from functools import cached_property
 
 import numpy as np
 
@@ -21,16 +25,11 @@ from . import __version__
 from .baselines import laplacian_smooth, taubin_smooth
 from .coloring import greedy_domain_decomposition
 from .curvature import gaussian_curvature, gaussian_curvature_energy
-from .errors import (
-    FaceIndexError,
-    FormatCapabilityError,
-    MeshError,
-    ParseError,
-    UnsupportedFormat,
-)
+from .errors import (FaceIndexError, FormatCapabilityError, MeshError,
+                     ParseError, UnsupportedFormat)
 from .filtering import FilterConfig, gcf_filter
 from .generate import generate_mesh
-from .io import _write_rows, load_mesh, save_mesh
+from .io import _output_format, _write_rows, load_mesh, save_mesh
 from .mesh import build_topology, mesh_stats
 from .metrics import metrics_report
 from .noise import NoiseConfig, add_noise
@@ -53,21 +52,47 @@ def _label_colors(labels: np.ndarray) -> np.ndarray:
     return np.vstack([_PALETTE, hashed])[labels]
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("GCF_THREADS", "0") or 0)
+class _Run:
+    """One invocation: the mesh at `source`, its topology and its coloring,
+    each made on first use through this module's names (so swapping those
+    names reaches every call), the wall time of every phase and the extra
+    fields of the manifest."""
+
+    def __init__(self, source):
+        self.source = source
+        self.timings = {}
+        self.fields = {}
+
+    def timed(self, phase, fn, *args, **kwargs):
+        """fn(*args, **kwargs), with its wall time recorded under `phase`."""
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        self.timings[phase] = time.perf_counter() - start
+        return result
+
+    @cached_property
+    def mesh(self):
+        return self.timed("load", load_mesh, self.source)
+
+    @cached_property
+    def topology(self):
+        return self.timed("topology", build_topology, self.mesh)
+
+    @cached_property
+    def coloring(self):
+        return self.timed("color", greedy_domain_decomposition, self.topology)
 
 
-def _write_manifest(path, command, args, phases, extra=None):
+def _write_manifest(args, run):
     doc = {
         "tool": "gcfmesh",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "arguments": {k: v for k, v in vars(args).items() if k != "func"},
-        "timings_seconds": phases,
+        "timings_seconds": run.timings,
+        **run.fields,
     }
-    if extra:
-        doc.update(extra)
-    with open(path, "w", newline="\n") as fh:
+    with open(args.manifest, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -79,165 +104,104 @@ def _write_csv(path, header, values):
         _write_rows(fh, "%d,%.17g", [np.arange(len(values)), values])
 
 
-@contextlib.contextmanager
-def _timed(phases, name):
-    """Record the wall time of the enclosed block as phases[name]."""
-    start = time.perf_counter()
-    yield
-    phases[name] = time.perf_counter() - start
-
-
-def cmd_filter(args) -> int:
+def cmd_filter(args, run):
     if args.iters < 1:
-        print("error: --iters must be >= 1", file=sys.stderr)
-        return 3
-    phases = {}
-    with _timed(phases, "load"):
-        mesh = load_mesh(args.input)
-    with _timed(phases, "topology"):
-        topology = build_topology(mesh)
-    with _timed(phases, "color"):
-        coloring = greedy_domain_decomposition(topology)
-    config = FilterConfig(iterations=args.iters, threads=args.threads,
-                          capture_trace=args.trace is not None)
-    with _timed(phases, "filter"):
-        result, trace = gcf_filter(mesh, topology, coloring, config)
-    with _timed(phases, "save"):
-        save_mesh(result, args.output)
+        raise ValueError("--iters must be >= 1")
+    result, trace = run.timed(
+        "filter", gcf_filter, run.mesh, run.topology, run.coloring,
+        FilterConfig(iterations=args.iters, threads=args.threads,
+                     capture_trace=args.trace is not None))
     if args.trace is not None:
         _write_csv(args.trace, "iteration,gce", trace.gce_per_iteration)
-    if args.manifest is not None:
-        _write_manifest(args.manifest, "filter", args, phases,
-                        {"input": str(args.input), "output": str(args.output),
-                         "domains": coloring.domain_count})
-    return 0
+    run.fields.update(input=args.input, output=args.output,
+                      domains=run.coloring.domain_count)
+    return result
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args, run):
     test = load_mesh(args.test)
     ref = load_mesh(args.ref)
     report = metrics_report(test, ref, bins=args.bins,
                             clip_percentile=args.clip)
-    doc = {
-        "msae_deg": report.msae_deg,
-        "gce": report.gce,
-        "d_mean": report.d_mean,
-        "d_max": report.d_max,
-        "kld": report.kld,
-        "params": {
-            "bins": args.bins,
-            "clip_percentile": args.clip,
-            "notes": report.notes,
-        },
-    }
+    doc = dict(vars(report))
+    doc["params"] = {"bins": args.bins, "clip_percentile": args.clip,
+                     "notes": doc.pop("notes")}
     json.dump(doc, sys.stdout, indent=2)
     print()
-    return 0
 
 
-def cmd_noise(args) -> int:
-    phases = {}
-    with _timed(phases, "load"):
-        mesh = load_mesh(args.input)
-    with _timed(phases, "topology"):
-        topology = build_topology(mesh)
-    config = NoiseConfig(sigma_factor=args.sigma, seed=args.seed, mode=args.mode)
-    with _timed(phases, "noise"):
-        noisy = add_noise(mesh, topology, config)
-    with _timed(phases, "save"):
-        save_mesh(noisy, args.output)
-    if args.manifest is not None:
-        _write_manifest(args.manifest, "noise", args, phases,
-                        {"seed": args.seed})
-    return 0
+def cmd_noise(args, run):
+    run.fields["seed"] = args.seed
+    return run.timed("noise", add_noise, run.mesh, run.topology,
+                     NoiseConfig(sigma_factor=args.sigma, seed=args.seed,
+                                 mode=args.mode))
 
 
-def cmd_gen(args) -> int:
+# gen's optional shape parameters and their types
+_GEN_PARAMS = {"subdiv": int, "segments": int, "rings": int, "res": int,
+               "radius": float, "height": float, "size": float, "spacing": float}
+
+
+def cmd_gen(args, run):
     renamed = {"subdiv": "subdivisions", "res": "resolution"}
     params = {renamed.get(name, name): getattr(args, name)
-              for name in ("subdiv", "segments", "rings", "res",
-                           "radius", "height", "size", "spacing")
-              if getattr(args, name) is not None}
-    phases = {}
-    with _timed(phases, "generate"):
-        mesh = generate_mesh(args.kind, **params)
-    with _timed(phases, "save"):
-        save_mesh(mesh, args.output)
-    if args.manifest is not None:
-        _write_manifest(args.manifest, "gen", args, phases,
-                        {"vertices": mesh.vertex_count, "faces": mesh.face_count})
-    return 0
+              for name in _GEN_PARAMS if getattr(args, name) is not None}
+    mesh = run.timed("generate", generate_mesh, args.kind, **params)
+    run.fields.update(vertices=mesh.vertex_count, faces=mesh.face_count)
+    return mesh
 
 
-def cmd_color(args) -> int:
-    if not str(args.output).lower().endswith(".ply"):
+def cmd_color(args, run):
+    if not args.output.lower().endswith(".ply"):
         raise FormatCapabilityError("color export requires a .ply output")
-    mesh = load_mesh(args.input)
-    topology = build_topology(mesh)
-    coloring = greedy_domain_decomposition(topology)
-    save_mesh(mesh, args.output, colors=_label_colors(coloring.color_of))
-    if args.manifest is not None:
-        _write_manifest(args.manifest, "color", args, {},
-                        {"domains": coloring.domain_count})
-    return 0
+    colors = _label_colors(run.coloring.color_of)
+    run.timed("save", save_mesh, run.mesh, args.output, colors=colors)
+    run.fields["domains"] = run.coloring.domain_count
 
 
-def cmd_curvature(args) -> int:
-    mesh = load_mesh(args.input)
-    topology = build_topology(mesh)
-    field = gaussian_curvature(mesh, topology)
-    out = str(args.output).lower()
+def cmd_curvature(args, run):
+    field = gaussian_curvature(run.mesh, run.topology)
+    out = args.output.lower()
     if out.endswith(".csv"):
         _write_csv(args.output, "vertexIndex,K", field.curvature)
     elif out.endswith(".ply"):
-        save_mesh(mesh, args.output, scalars=field.curvature)
+        save_mesh(run.mesh, args.output, scalars=field.curvature)
     else:
         raise FormatCapabilityError("curvature export requires .csv or .ply")
     if args.verbose:
         print(f"gce={gaussian_curvature_energy(field):.17g}")
-    return 0
 
 
-def cmd_smooth(args) -> int:
-    mesh = load_mesh(args.input)
-    topology = build_topology(mesh)
-    if args.method == "laplacian":
-        result = laplacian_smooth(mesh, topology, args.iters, args.lam)
-    else:
-        result = taubin_smooth(mesh, topology, args.iters, args.lam, args.mu)
-    save_mesh(result, args.output)
-    if args.manifest is not None:
-        _write_manifest(args.manifest, "smooth", args, {})
-    return 0
+def cmd_smooth(args, run):
+    smooth, factors = ((laplacian_smooth, (args.lam,)) if args.method == "laplacian"
+                       else (taubin_smooth, (args.lam, args.mu)))
+    return run.timed("smooth", smooth, run.mesh, run.topology, args.iters,
+                     *factors)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, run):
     iters_list = [int(t) for t in args.iters.split(",")]
     threads_list = [int(t) for t in args.threads.split(",")]
     rows = ["mesh,vertices,iters,threads,seconds"]
     for path in args.input:
-        mesh = load_mesh(path)
-        topology = build_topology(mesh)
-        coloring = greedy_domain_decomposition(topology)
+        source = _Run(path)
         for iters in iters_list:
             for threads in threads_list:
-                config = FilterConfig(iterations=iters, threads=threads)
-                start = time.perf_counter()
-                gcf_filter(mesh, topology, coloring, config)
-                seconds = time.perf_counter() - start
-                rows.append(f"{path},{mesh.vertex_count},{iters},{threads},{seconds:.6f}")
+                source.timed("filter", gcf_filter, source.mesh, source.topology,
+                             source.coloring,
+                             FilterConfig(iterations=iters, threads=threads))
+                rows.append(f"{path},{source.mesh.vertex_count},{iters},"
+                            f"{threads},{source.timings['filter']:.6f}")
     text = "\n".join(rows) + "\n"
     if args.output is not None:
         with open(args.output, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def cmd_stats(args) -> int:
-    mesh = load_mesh(args.input)
-    stats = mesh_stats(mesh)
+def cmd_stats(args, run):
+    stats = mesh_stats(run.mesh)
     json.dump({
         "vertices": stats.vertex_count,
         "faces": stats.face_count,
@@ -245,7 +209,12 @@ def cmd_stats(args) -> int:
         "mean_edge_length": stats.mean_edge_length,
     }, sys.stdout, indent=2)
     print()
-    return 0
+
+
+# subcommands whose action returns a mesh for main to save to -o in the
+# format its suffix names; main resolves that format before the action, so
+# a bad suffix fails before any work
+_MESH_WRITERS = (cmd_filter, cmd_noise, cmd_gen, cmd_smooth)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -255,97 +224,88 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options several subcommands share, one parent parser each
+    inp, out, manifest = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    inp.add_argument("-i", "--input", required=True)
+    out.add_argument("-o", "--output", required=True)
+    manifest.add_argument("--manifest", default=None,
+                          help="write a JSON manifest of the run")
 
-    p = sub.add_parser("filter", help="run the Gaussian curvature filter")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    def command(name, action, help, *shared):
+        p = sub.add_parser(name, help=help, parents=shared)
+        p.set_defaults(func=action)
+        return p
+
+    p = command("filter", cmd_filter, "run the Gaussian curvature filter",
+                inp, out, manifest)
     p.add_argument("--iters", type=int, required=True,
                    help="iteration count (the filter's only parameter)")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    # a string default is converted by `type` only when filter is parsed
+    p.add_argument("--threads", type=int,
+                   default=os.environ.get("GCF_THREADS") or "0")
     p.add_argument("--trace", default=None, help="write iteration,gce CSV")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("metrics", help="compare a mesh against a reference")
+    p = command("metrics", cmd_metrics, "compare a mesh against a reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--bins", type=int, default=200)
     p.add_argument("--clip", type=float, default=99.0)
-    p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("noise", help="add seeded Gaussian noise")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p = command("noise", cmd_noise, "add seeded Gaussian noise",
+                inp, out, manifest)
     p.add_argument("--sigma", type=float, default=0.3,
                    help="standard deviation as a multiple of the mean edge length")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("along_normal", "isotropic"),
                    default="along_normal")
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_noise)
 
-    p = sub.add_parser("gen", help="generate a procedural mesh")
+    p = command("gen", cmd_gen, "generate a procedural mesh", out, manifest)
     p.add_argument("--kind", required=True,
                    choices=("icosphere", "cylinder", "cone", "cube", "grid"))
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--subdiv", type=int, default=None)
-    p.add_argument("--segments", type=int, default=None)
-    p.add_argument("--rings", type=int, default=None)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--height", type=float, default=None)
-    p.add_argument("--size", type=float, default=None)
-    p.add_argument("--spacing", type=float, default=None)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_gen)
+    for name, kind in _GEN_PARAMS.items():
+        p.add_argument(f"--{name}", type=kind, default=None)
 
-    p = sub.add_parser("color", help="export the domain decomposition as RGB")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_color)
+    command("color", cmd_color, "export the domain decomposition as RGB",
+            inp, out, manifest)
 
-    p = sub.add_parser("curvature", help="export per-vertex Gaussian curvature")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p = command("curvature", cmd_curvature,
+                "export per-vertex Gaussian curvature", inp, out)
     p.add_argument("-v", "--verbose", action="store_true")
-    p.set_defaults(func=cmd_curvature)
 
-    p = sub.add_parser("smooth", help="run a Laplacian/Taubin baseline smoother")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p = command("smooth", cmd_smooth,
+                "run a Laplacian/Taubin baseline smoother", inp, out, manifest)
     p.add_argument("--method", choices=("laplacian", "taubin"), default="laplacian")
     p.add_argument("--iters", type=int, default=10)
     p.add_argument("--lam", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=-0.53)
-    p.add_argument("--manifest", default=None)
-    p.set_defaults(func=cmd_smooth)
 
-    p = sub.add_parser("bench", help="time filter runs, CSV output")
+    # bench keeps its own -i (repeatable) and -o (an optional CSV path)
+    p = command("bench", cmd_bench, "time filter runs, CSV output")
     p.add_argument("-i", "--input", action="append", required=True)
     p.add_argument("--iters", default="40", help="comma-separated iteration counts")
     p.add_argument("--threads", default="1", help="comma-separated worker counts")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("stats", help="print basic mesh statistics")
-    p.add_argument("-i", "--input", required=True)
-    p.set_defaults(func=cmd_stats)
-
+    command("stats", cmd_stats, "print basic mesh statistics", inp)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run = _Run(getattr(args, "input", None))
     try:
-        return args.func(args)
-    except (ParseError, UnsupportedFormat, FaceIndexError, OSError) as exc:
+        if args.func in _MESH_WRITERS:
+            _output_format(args.output)
+        result = args.func(args, run)
+        if result is not None:
+            run.timed("save", save_mesh, result, args.output)
+        if getattr(args, "manifest", None) is not None:
+            _write_manifest(args, run)
+    except (MeshError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MeshError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        io_error = (ParseError, UnsupportedFormat, FaceIndexError, OSError)
+        return 2 if isinstance(exc, io_error) else 3
+    return 0
 
 
 def run():

@@ -7,10 +7,12 @@ curvature energy used as the smoothing objective and convergence trace.
 
 Lengths, normals, angles and per-vertex sums come from the row helpers in
 `mesh`, shared with the filter, the metrics and the baselines. Angles are
-atan2(|a x b|, a . b), stable near 0 and pi. `_unit` keeps vectors whose
-length is >= its cutoff, so the strict cutoffs here (a face is degenerate
-at zero length, a vertex normal at or below 1e-14 times the largest face
-area) pass it the next float above their threshold.
+atan2(|a x b|, a . b), stable near 0 and pi. A face normal divides the
+cross product by the same norm that gives the face area, and the face is
+degenerate exactly when that norm is zero. `_unit` keeps vectors whose
+length is >= its cutoff, so the strict vertex-normal cutoff (degenerate at
+or below 1e-14 times the largest face area) passes it the next float above
+that threshold.
 """
 
 from __future__ import annotations
@@ -50,8 +52,11 @@ def face_normals(mesh: TriangleMesh):
     f = mesh.faces
     p0 = v[f[:, 0]]
     cross = _cross3(v[f[:, 1]] - p0, v[f[:, 2]] - p0)
-    normals, ok = _unit(cross, np.nextafter(0.0, np.inf))
-    return normals, 0.5 * _norm(cross), ~ok
+    double_area = _norm(cross)
+    ok = double_area > 0
+    normals = np.zeros_like(cross)
+    np.divide(cross, double_area[:, None], out=normals, where=ok[:, None])
+    return normals, 0.5 * double_area, ~ok
 
 
 def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):

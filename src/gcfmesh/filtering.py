@@ -36,8 +36,8 @@ import numpy as np
 
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
-from .mesh import (MeshTopology, TriangleMesh, _cross3, _releases_memory,
-                   _unit, mean_edge_length)
+from .mesh import (MeshTopology, TriangleMesh, _cross3, _movable,
+                   _releases_memory, _unit, mean_edge_length)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -73,8 +73,7 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
     """Group each domain's movable vertices by ring size and pre-gather the
     dense ring index blocks the kernel consumes: one (rows, rings) pair per
     (domain, degree) group."""
-    movable = (~topology.is_boundary) & topology.is_manifold_fan \
-        & (topology.ring_sizes > 0)
+    movable = _movable(topology)
     plan = []
     for domain in coloring.domains:
         domain = np.asarray(domain)

@@ -284,16 +284,23 @@ def _write_rows(fh, template, columns, base=0):
         fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-@_releases_memory
-def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
-              scalars=None, colors=None) -> None:
-    """Write a mesh; `scalars` (per-vertex float) and `colors` (per-vertex
-    uchar RGB) are PLY-only and raise FormatCapabilityError elsewhere."""
+def _output_format(path, fmt: str = "auto") -> str:
+    """The format save_mesh writes `path` in: `fmt`, or with "auto" the
+    path's suffix. UnsupportedFormat unless it is obj, off or ply."""
     path = Path(path)
     if fmt == "auto":
         fmt = path.suffix.lower().lstrip(".")
     if fmt not in _FORMATS:
         raise UnsupportedFormat(f"cannot write format {fmt!r} to {path.name!r}")
+    return fmt
+
+
+@_releases_memory
+def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
+              scalars=None, colors=None) -> None:
+    """Write a mesh; `scalars` (per-vertex float) and `colors` (per-vertex
+    uchar RGB) are PLY-only and raise FormatCapabilityError elsewhere."""
+    fmt = _output_format(path, fmt)
     columns = [mesh.vertices]
     vertex_row = "%.17g %.17g %.17g"
     properties = "property double x\nproperty double y\nproperty double z\n"

@@ -287,6 +287,13 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     )
 
 
+def _movable(topology: MeshTopology) -> np.ndarray:
+    """The freeze policy of the filter and the baselines: only interior
+    vertices of a single fan move; boundary and non-manifold vertices never
+    do. A vertex without faces is never flagged manifold, so it stays too."""
+    return ~topology.is_boundary & topology.is_manifold_fan
+
+
 def unique_edges(faces: np.ndarray, return_counts: bool = False):
     """Undirected edge set of a face array, each edge once (sorted index pairs).
 

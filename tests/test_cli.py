@@ -276,3 +276,119 @@ def test_label_colors_match_palette_and_hash():
     assert [tuple(c) for c in got.tolist()] == expect
     assert _label_colors(np.array([3, 0], dtype=np.int32)).tolist() == [
         [0, 130, 200], [230, 25, 75]]
+
+
+def _domain_count(path):
+    return g.greedy_domain_decomposition(g.build_topology(load_mesh(path))).domain_count
+
+
+@pytest.mark.parametrize("command", ["filter", "noise", "gen", "color", "smooth"])
+def test_manifest_schema(tmp_path, command):
+    sphere = tmp_path / "s.obj"
+    noisy = tmp_path / "n.obj"
+    run("gen", "--kind", "icosphere", "--subdiv", "2", "-o", sphere)
+    run("noise", "-i", sphere, "-o", noisy, "--sigma", "0.3", "--seed", "3")
+    out = tmp_path / ("out.ply" if command == "color" else "out.obj")
+    argv, phases, extra = {
+        "filter": (["-i", noisy, "--iters", "2"],
+                   {"load", "topology", "color", "filter", "save"},
+                   {"input": str(noisy), "output": str(out),
+                    "domains": _domain_count(noisy)}),
+        "noise": (["-i", sphere, "--seed", "5"],
+                  {"load", "topology", "noise", "save"}, {"seed": 5}),
+        "gen": (["--kind", "icosphere", "--subdiv", "2"],
+                {"generate", "save"}, {"vertices": 162, "faces": 320}),
+        "color": (["-i", sphere], {"load", "topology", "color", "save"},
+                  {"domains": _domain_count(sphere)}),
+        "smooth": (["-i", noisy, "--method", "taubin", "--iters", "2"],
+                   {"load", "topology", "smooth", "save"}, {}),
+    }[command]
+    manifest = tmp_path / "run.json"
+    assert run(command, *argv, "-o", out, "--manifest", manifest) == 0
+    doc = json.loads(manifest.read_text())
+    assert set(doc) == {"tool", "version", "command", "arguments",
+                        "timings_seconds"} | set(extra)
+    assert doc["tool"] == "gcfmesh"
+    assert doc["version"] == g.__version__
+    assert doc["command"] == command
+    assert doc["arguments"]["command"] == command
+    assert doc["arguments"]["output"] == str(out)
+    assert doc["arguments"]["manifest"] == str(manifest)
+    assert "func" not in doc["arguments"]
+    assert set(doc["timings_seconds"]) == phases
+    assert all(t >= 0.0 for t in doc["timings_seconds"].values())
+    assert {k: doc[k] for k in extra} == extra
+
+
+def test_subcommand_options_are_pinned():
+    import argparse
+
+    from gcfmesh.cli import _build_parser
+
+    common = {"-h", "--help"}
+    io = {"-i", "--input", "-o", "--output"}
+    want = {
+        "filter": io | {"--manifest", "--iters", "--threads", "--trace"},
+        "metrics": {"--ref", "--test", "--bins", "--clip"},
+        "noise": io | {"--manifest", "--sigma", "--seed", "--mode"},
+        "gen": {"-o", "--output", "--manifest", "--kind", "--subdiv",
+                "--segments", "--rings", "--res", "--radius", "--height",
+                "--size", "--spacing"},
+        "color": io | {"--manifest"},
+        "curvature": io | {"-v", "--verbose"},
+        "smooth": io | {"--manifest", "--method", "--iters", "--lam", "--mu"},
+        "bench": io | {"--iters", "--threads"},
+        "stats": {"-i", "--input"},
+    }
+    parser = _build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in p._actions for s in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == {name: opts | common for name, opts in want.items()}
+
+
+def test_threads_env_not_an_integer(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GCF_THREADS", "abc")
+    grid_path = tmp_path / "g.obj"
+    assert run("gen", "--kind", "grid", "--res", "2", "-o", grid_path) == 0
+    assert run("stats", "-i", grid_path) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        run("filter", "-i", grid_path, "-o", tmp_path / "o.obj", "--iters", "1")
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o.obj").exists()
+
+
+def test_threads_env_empty_means_zero(tmp_path, monkeypatch):
+    monkeypatch.setenv("GCF_THREADS", "")
+    grid_path = tmp_path / "g.obj"
+    run("gen", "--kind", "grid", "--res", "2", "-o", grid_path)
+    manifest = tmp_path / "m.json"
+    assert run("filter", "-i", grid_path, "-o", tmp_path / "o.obj",
+               "--iters", "1", "--manifest", manifest) == 0
+    assert json.loads(manifest.read_text())["arguments"]["threads"] == 0
+
+
+@pytest.mark.parametrize("command,argv,action", [
+    ("filter", ["--iters", "40"], "gcf_filter"),
+    ("noise", [], "add_noise"),
+    ("smooth", [], "laplacian_smooth"),
+    ("gen", ["--kind", "grid"], "generate_mesh"),
+])
+def test_bad_output_format_fails_before_the_work(tmp_path, monkeypatch, capsys,
+                                                 command, argv, action):
+    import gcfmesh.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the work ran before the output format was checked")
+
+    for name in ("load_mesh", "build_topology", action):
+        monkeypatch.setattr(gcfmesh.cli, name, must_not_run)
+    if command != "gen":
+        argv = ["-i", tmp_path / "in.obj"] + argv
+    out = tmp_path / "out.stl"
+    assert run(command, *argv, "-o", out) == 2
+    assert capsys.readouterr().err == "error: cannot write format 'stl' to 'out.stl'\n"
+    assert not out.exists()

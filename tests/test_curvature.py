@@ -46,6 +46,24 @@ def test_face_normals_collinear_flagged():
     assert np.all(normals[0] == 0.0)
 
 
+def test_face_normals_match_separate_norms():
+    """One norm per face gives the normals, areas and flags bitwise equal
+    to normalizing the cross product and measuring it apart."""
+    from gcfmesh.mesh import _cross3, _norm, _unit
+
+    collinear = TriangleMesh([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)],
+                             [(0, 1, 2), (0, 1, 3)])
+    for mesh in random_meshes() + [collinear]:
+        v, f = mesh.vertices, mesh.faces
+        cross = _cross3(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+        want, ok = _unit(cross, np.nextafter(0.0, np.inf))
+        normals, areas, degenerate = face_normals(mesh)
+        assert np.array_equal(normals, want)
+        assert np.array_equal(areas, 0.5 * _norm(cross))
+        assert np.array_equal(degenerate, ~ok)
+    assert degenerate[0] and not degenerate[1]
+
+
 def test_face_scaling_property():
     rng = np.random.Generator(np.random.PCG64(11))
     for _ in range(50):

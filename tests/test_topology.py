@@ -141,3 +141,20 @@ def test_reversed_duplicate_face_fan_is_non_manifold():
 def test_three_faces_on_one_edge_fan_is_non_manifold():
     _assert_three_face_fan([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 2)],
                            [1, 2, 3, 4, 2], [1, 2, 3, 4])
+
+
+def test_manifold_vertices_have_faces():
+    """The freeze policy needs no ring-size term: a vertex flagged manifold
+    always has incident faces, so a vertex no face uses stays frozen."""
+    from gcfmesh.mesh import _movable
+
+    for mesh in random_meshes():
+        mesh = TriangleMesh(np.vstack([mesh.vertices, [(9.0, 9.0, 9.0)]]),
+                            mesh.faces)
+        topo = build_topology(mesh)
+        has_faces = np.bincount(mesh.faces.ravel(), minlength=mesh.vertex_count) > 0
+        assert not (topo.is_manifold_fan & ~has_faces).any()
+        assert np.array_equal(
+            _movable(topo),
+            ~topo.is_boundary & topo.is_manifold_fan & (topo.ring_sizes > 0))
+        assert not _movable(topo)[-1]
