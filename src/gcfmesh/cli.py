@@ -160,14 +160,14 @@ def cmd_color(args, run):
 
 
 def cmd_curvature(args, run):
-    field = gaussian_curvature(run.mesh, run.topology)
     out = args.output.lower()
+    if not out.endswith((".csv", ".ply")):
+        raise FormatCapabilityError("curvature export requires .csv or .ply")
+    field = gaussian_curvature(run.mesh, run.topology)
     if out.endswith(".csv"):
         _write_csv(args.output, "vertexIndex,K", field.curvature)
-    elif out.endswith(".ply"):
-        save_mesh(run.mesh, args.output, scalars=field.curvature)
     else:
-        raise FormatCapabilityError("curvature export requires .csv or .ply")
+        save_mesh(run.mesh, args.output, scalars=field.curvature)
     if args.verbose:
         print(f"gce={gaussian_curvature_energy(field):.17g}")
 

@@ -7,12 +7,15 @@ curvature energy used as the smoothing objective and convergence trace.
 
 Lengths, normals, angles and per-vertex sums come from the row helpers in
 `mesh`, shared with the filter, the metrics and the baselines. Angles are
-atan2(|a x b|, a . b), stable near 0 and pi. A face normal divides the
-cross product by the same norm that gives the face area, and the face is
-degenerate exactly when that norm is zero. `_unit` keeps vectors whose
-length is >= its cutoff, so the strict vertex-normal cutoff (degenerate at
-or below 1e-14 times the largest face area) passes it the next float above
-that threshold.
+atan2(|a x b|, a . b), stable near 0 and pi. |a x b| is twice the face
+area at every corner of a face, so the curvature field takes one cross
+product per face and uses its norm as the sine of all three corners; each
+corner's dot comes from the two face edges that meet there. A face normal
+divides the cross product by the same norm that gives the face area, and
+the face is degenerate exactly when that norm is zero. `_unit` keeps
+vectors whose length is >= its cutoff, so the strict vertex-normal cutoff
+(degenerate at or below 1e-14 times the largest face area) passes it the
+next float above that threshold.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (MeshTopology, TriangleMesh, _angle, _cross3, _norm,
+from .mesh import (MeshTopology, TriangleMesh, _cross3, _dot, _norm,
                    _releases_memory, _scatter, _unit)
 
 
@@ -87,10 +90,15 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     deficit = np.full(n, 2.0 * np.pi)
     ring_area = np.zeros(n)
     p = [positions[faces[:, c]] for c in range(3)]
+    # edge c runs from corner c to corner c + 1, so corner c spans edge c
+    # and the reversed edge c - 1
+    e = [p[(c + 1) % 3] - p[c] for c in range(3)]
+    sines = _norm(_cross3(e[0], e[2]))
+    areas = 0.5 * sines
     for c in range(3):
-        angles, sines = _angle(p[(c + 1) % 3] - p[c], p[(c + 2) % 3] - p[c])
-        if c == 0:
-            areas = 0.5 * sines  # corner 0 spans the face's own edges
+        # a . b with b the reversed edge c - 1; 0.0 - x negates exactly and
+        # keeps a zero dot +0.0, so a collapsed corner's angle stays 0
+        angles = np.arctan2(sines, 0.0 - _dot(e[c], e[c - 1]))
         deficit -= np.bincount(faces[:, c], weights=angles, minlength=n)
         ring_area += np.bincount(faces[:, c], weights=areas, minlength=n)
     curvature = np.zeros(n)

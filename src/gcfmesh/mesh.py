@@ -13,7 +13,7 @@ The rest (inconsistent winding, three faces on one edge, several sheets at
 one vertex, chains or cycles that stop short) go to a winding-agnostic
 walk, and fans it cannot order are flagged non-manifold with a sorted ring.
 
-The row helpers at the end (`_cross3`, `_norm`, `_unit`, `_angle`,
+The row helpers at the end (`_cross3`, `_dot`, `_norm`, `_unit`, `_angle`,
 `_scatter`) are the one copy of each vector operation that the curvature,
 metrics, filter and baseline modules share.
 """
@@ -346,9 +346,23 @@ def _cross3(a, b):
     return out
 
 
+def _dot(a, b):
+    """Dot product along the last axis (length 3), bitwise equal to
+    (a * b).sum(axis=-1) without ufunc.reduce's per-row inner loop.
+
+    The terms are added left to right from +0.0, as numpy's reduce does, so
+    a zero dot is +0.0 and never -0.0 (arctan2(0, -0.0) is pi, not 0).
+    """
+    out = a[..., 0] * b[..., 0]
+    out += 0.0
+    out += a[..., 1] * b[..., 1]
+    out += a[..., 2] * b[..., 2]
+    return out
+
+
 def _norm(v):
     """Euclidean length along the last axis."""
-    return np.sqrt((v * v).sum(axis=-1))
+    return np.sqrt(_dot(v, v))
 
 
 def _unit(v, tol):
@@ -364,7 +378,7 @@ def _angle(a, b):
     """(angle between a and b, |a x b|) along the last axis; the angle is
     atan2(|a x b|, a . b), which stays accurate near 0 and pi."""
     sine = _norm(_cross3(a, b))
-    return np.arctan2(sine, (a * b).sum(axis=-1)), sine
+    return np.arctan2(sine, _dot(a, b)), sine
 
 
 def _scatter(index, source, rows, n):

@@ -392,3 +392,18 @@ def test_bad_output_format_fails_before_the_work(tmp_path, monkeypatch, capsys,
     assert run(command, *argv, "-o", out) == 2
     assert capsys.readouterr().err == "error: cannot write format 'stl' to 'out.stl'\n"
     assert not out.exists()
+
+
+def test_curvature_bad_suffix_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    import gcfmesh.cli
+
+    calls = []
+    for name in ("load_mesh", "build_topology", "gaussian_curvature"):
+        monkeypatch.setattr(gcfmesh.cli, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    out = tmp_path / "k.txt"
+    assert run("curvature", "-i", tmp_path / "in.obj", "-o", out) == 3
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: curvature export requires .csv or .ply\n"
+    assert not out.exists()

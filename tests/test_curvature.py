@@ -11,6 +11,7 @@ from gcfmesh import (
     vertex_normals,
 )
 
+import reduce_reference
 from conftest import random_meshes
 
 # regular tetrahedron, edge 1: deficit = 2*pi - 3*(pi/3) = pi per vertex,
@@ -190,3 +191,34 @@ def test_rigid_motion_invariance():
     assert gaussian_curvature_energy(fm) == pytest.approx(
         gaussian_curvature_energy(field), rel=1e-12
     )
+
+
+# one cross product per face gives every corner the same sine, so the
+# deficit may move in its last bits; the corner-0 area term is unchanged
+DEFICIT_TOL = 1e-12  # rad
+
+
+def _collapsed_edge():
+    # two coincident vertices: the faces on that edge have a zero sine and
+    # a zero dot at both ends, where the sign of the zero dot picks 0 or pi
+    mesh = g.icosphere(1)
+    a, b = mesh.faces[0, :2]
+    mesh.vertices[b] = mesh.vertices[a]
+    return mesh
+
+
+@pytest.mark.parametrize("make", [
+    lambda: g.icosphere(3), lambda: g.cube(8), lambda: g.cylinder(24, 22),
+    _collapsed_edge,
+], ids=["icosphere", "cube", "cylinder", "collapsed"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+def test_curvature_field_matches_per_corner_oracle(make, noisy):
+    mesh = make()
+    topo = build_topology(mesh)
+    if noisy:
+        mesh = g.add_noise(mesh, topo, g.NoiseConfig(0.3, seed=6))
+    field = gaussian_curvature(mesh, topo)
+    deficit, ring_area = reduce_reference.curvature_field(mesh.vertices,
+                                                          mesh.faces)
+    assert np.array_equal(field.ring_area, ring_area)
+    assert np.abs(field.deficit - deficit).max() <= DEFICIT_TOL

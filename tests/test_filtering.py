@@ -15,6 +15,7 @@ from gcfmesh import (
     mesh_stats,
 )
 
+import reduce_reference
 from bruteforce import reference_step
 from conftest import random_meshes
 
@@ -389,3 +390,48 @@ def test_feature_fixed_points_stay_exact():
     col = greedy_domain_decomposition(topo)
     out, _ = gcf_filter(mesh, topo, col, FilterConfig(iterations=40))
     assert np.array_equal(out.vertices, mesh.vertices)
+
+
+def _noisy(mesh, seed):
+    return g.add_noise(mesh, build_topology(mesh), g.NoiseConfig(0.3, seed=seed))
+
+
+def _signed_zero_grid():
+    # negating the z=0 grid gives -0.0 coordinates; the regular interior
+    # rings have a zero mean edge, so those rows get no direction
+    grid = g.grid(6)
+    return TriangleMesh(-grid.vertices, grid.faces)
+
+
+@pytest.mark.parametrize("mesh,max_degree", [
+    (_noisy(g.icosphere(3), 1), 6), (_noisy(g.cube(6), 2), 6),
+    (_noisy(g.cone(10, 3), 3), 10), (_signed_zero_grid(), 6),
+], ids=["icosphere", "cube", "cone", "grid"])
+def test_kernel_equals_reduce_reference_bitwise(mesh, max_degree):
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    scale = mean_edge_length(mesh.vertices, mesh.faces)
+    tols = (g.filtering.DIRECTION_TOL * scale,
+            g.filtering.NORMAL_TOL * scale * scale)
+    block = g.filtering._BLOCK
+    degrees = set()
+    for groups in g.filtering._build_plan(topo, col):
+        for rows, rings in groups:
+            degrees.add(rings.shape[1])
+            for lo in range(0, len(rows), block):
+                args = (mesh.vertices, rows[lo:lo + block], rings[lo:lo + block])
+                got = g.filtering._kernel(*args, *tols)
+                want = reduce_reference.kernel(*args, *tols)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert max(degrees) == max_degree
+
+
+def test_last_trace_entry_is_output_energy():
+    mesh = g.icosphere(3)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    noisy = g.add_noise(mesh, topo, g.NoiseConfig(0.3, seed=4))
+    out, trace = gcf_filter(noisy, topo, col,
+                            FilterConfig(iterations=5, capture_trace=True))
+    assert trace.gce_per_iteration[-1] == g.gaussian_curvature_energy(
+        gaussian_curvature(out, topo))

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gcfmesh as g
 from gcfmesh import TriangleMesh, build_topology, mesh_stats, unique_edges
+from gcfmesh.filtering import _ring_sum
+from gcfmesh.mesh import _angle, _dot, _norm
 from gcfmesh.errors import EmptyMeshError, FaceIndexError, MeshError, \
     NonFiniteError
 
@@ -164,3 +168,46 @@ def test_mesh_stats_tetrahedron_scaled(tetrahedron):
 def test_mesh_stats_empty():
     with pytest.raises(EmptyMeshError):
         mesh_stats(TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3))))
+
+
+# finite doubles with signed zeros, subnormals, and magnitudes near 1e+-150
+# whose squares sit next to the overflow and underflow limits
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e-150, -1e-150, 1e150, -1e150]),
+    st.floats(1e-160, 1e-140).map(lambda x: -x) | st.floats(1e-160, 1e-140),
+    st.floats(1e140, 1e160).map(lambda x: -x) | st.floats(1e140, 1e160),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# arrays of signed zeros and units make all-zero sums whose sign shows
+_ELEMENTS = st.sampled_from([_VALUES, st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                             st.just(-0.0)])
+# (k, 3) rows and (k, d, 3) ring blocks
+_SHAPES = st.tuples(st.integers(1, 5), st.integers(3, 16)).flatmap(
+    lambda kd: st.sampled_from([(kd[0], 3), (kd[0], kd[1], 3)]))
+
+
+def _bitwise(x, y):
+    """Equal bit patterns, so the sign of zero (and any NaN) must match."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64),
+                                                 y.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_row_helpers_equal_reduce_bitwise(data):
+    shape = data.draw(_SHAPES)
+    a, b = (data.draw(hnp.arrays(np.float64, shape, elements=data.draw(_ELEMENTS)))
+            for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bitwise(_dot(a, b), (a * b).sum(axis=-1))
+        assert _bitwise(_norm(a), np.sqrt((a * a).sum(axis=-1)))
+        assert _bitwise(_ring_sum(a), a.sum(axis=1))
+
+
+def test_angle_of_zero_against_negative_vector_is_zero():
+    # every product is -0.0; a sum that did not start from +0.0 would give
+    # a -0.0 dot, and arctan2(0, -0.0) is pi
+    angle, sine = _angle(np.zeros((1, 3)), -np.ones((1, 3)))
+    assert _bitwise(angle, np.array([0.0]))
+    assert _bitwise(sine, np.array([0.0]))
