@@ -180,13 +180,11 @@ def cmd_smooth(args, run):
 
 
 def cmd_bench(args, run):
-    iters_list = [int(t) for t in args.iters.split(",")]
-    threads_list = [int(t) for t in args.threads.split(",")]
     rows = ["mesh,vertices,iters,threads,seconds"]
     for path in args.input:
         source = _Run(path)
-        for iters in iters_list:
-            for threads in threads_list:
+        for iters in args.iters:
+            for threads in args.threads:
                 source.timed("filter", gcf_filter, source.mesh, source.topology,
                              source.coloring,
                              FilterConfig(iterations=iters, threads=threads))
@@ -209,6 +207,11 @@ def cmd_stats(args, run):
         "mean_edge_length": stats.mean_edge_length,
     }, sys.stdout, indent=2)
     print()
+
+
+def _int_list(text):
+    """argparse type of bench's comma-separated --iters and --threads."""
+    return [int(t) for t in text.split(",")]
 
 
 # subcommands whose action returns a mesh for main to save to -o in the
@@ -282,8 +285,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # bench keeps its own -i (repeatable) and -o (an optional CSV path)
     p = command("bench", cmd_bench, "time filter runs, CSV output")
     p.add_argument("-i", "--input", action="append", required=True)
-    p.add_argument("--iters", default="40", help="comma-separated iteration counts")
-    p.add_argument("--threads", default="1", help="comma-separated worker counts")
+    p.add_argument("--iters", type=_int_list, default="40",
+                   help="comma-separated iteration counts")
+    p.add_argument("--threads", type=_int_list, default="1",
+                   help="comma-separated worker counts")
     p.add_argument("-o", "--output", default=None)
 
     command("stats", cmd_stats, "print basic mesh statistics", inp)

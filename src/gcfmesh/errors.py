@@ -59,3 +59,7 @@ class BadResolution(MeshError):
 
 class NonFiniteError(MeshError):
     """A vertex coordinate is NaN or infinite."""
+
+
+class DegenerateMeshError(MeshError):
+    """The edge scale that anchors the filter's cutoffs is zero or not finite."""

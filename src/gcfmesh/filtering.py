@@ -36,6 +36,7 @@ import numpy as np
 
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
+from .errors import DegenerateMeshError
 from .mesh import (MeshTopology, TriangleMesh, _cross3, _movable,
                    _releases_memory, _unit, mean_edge_length)
 
@@ -159,6 +160,10 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
     Returns a FilterTrace of the interior curvature energy before the first
     and after every sweep when capture_trace is set, else None.
     """
+    if not (np.isfinite(edge_scale) and edge_scale > 0):
+        raise DegenerateMeshError(
+            f"edge scale {edge_scale} is not finite and positive "
+            "(do all vertices coincide?)")
     dir_tol = DIRECTION_TOL * edge_scale
     normal_tol = NORMAL_TOL * edge_scale * edge_scale
     plan = _build_plan(topology, coloring)

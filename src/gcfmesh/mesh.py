@@ -4,7 +4,7 @@ The mesh is stored as a flat (n, 3) float64 vertex array plus an (f, 3)
 int32 face-index array; the winding of each face is kept exactly as given.
 
 Topology comes from one table of the 3f corner half-edges (center, start,
-end, face) sorted by the int64 key center*n + start; each half-edge's
+end) sorted by the int64 key center*n + start; each half-edge's
 successor around its center starts where it ends and is found with
 searchsorted. Fans in which every ring vertex starts and ends at most one
 half-edge, with at most one open head, are walked in lockstep: closed fans
@@ -110,30 +110,27 @@ class MeshStats:
 
 
 class MeshTopology:
-    """Per-vertex ordered 1-rings, incident-face lists, and manifold flags.
+    """Per-vertex ordered 1-rings and manifold flags.
 
     neighbors[i]    : ring of vertex i in fan order; a closed cycle for
                       interior manifold vertices, an open chain for boundary
                       vertices, sorted ascending where the fan is broken.
-    vertex_faces[i] : incident faces of vertex i; for manifold vertices
-                      ordered so face k sits between neighbors k and k+1.
     is_boundary     : True iff the fan is a single open chain.
     is_manifold_fan : True iff the incident faces form a single open or
                       closed fan.
 
-    `neighbors` and `vertex_faces` are built on first access. The structure
-    is immutable after construction and safe to share across threads.
-    `faces` keeps a reference to the defining face array so that consumers
-    (filtering, curvature) need only positions plus a topology.
+    `neighbors` is built on first access. The structure is immutable after
+    construction and safe to share across threads. `faces` keeps a
+    reference to the defining face array for the filter's energy trace (and
+    `gcf_step`'s default edge scale), so the filter needs only positions
+    plus a topology.
     """
 
-    def __init__(self, faces, ring_flat, ring_indptr, face_flat, face_indptr,
-                 is_boundary, is_manifold_fan):
+    def __init__(self, faces, ring_flat, ring_indptr, is_boundary,
+                 is_manifold_fan):
         self.faces = faces
         self.ring_flat = ring_flat
         self.ring_indptr = ring_indptr
-        self.face_flat = face_flat
-        self.face_indptr = face_indptr
         self.is_boundary = is_boundary
         self.is_manifold_fan = is_manifold_fan
         self.ring_sizes = np.diff(ring_indptr)
@@ -143,26 +140,21 @@ class MeshTopology:
         rp = self.ring_indptr.tolist()
         return [self.ring_flat[rp[i]:rp[i + 1]] for i in range(len(rp) - 1)]
 
-    @cached_property
-    def vertex_faces(self):
-        fp = self.face_indptr.tolist()
-        return [self.face_flat[fp[i]:fp[i + 1]] for i in range(len(fp) - 1)]
-
     @property
     def vertex_count(self) -> int:
         return len(self.is_boundary)
 
 
-def _try_undirected_walk(starts, ends, face_ids):
+def _try_undirected_walk(starts, ends):
     """Winding-agnostic fan walk; None unless the fan is a single chain or cycle."""
     m = len(starts)
     adj = {}
-    edge_face = {}
-    for u, w, f in zip(starts, ends, face_ids):
+    unwalked = set()
+    for u, w in zip(starts, ends):
         key = (u, w) if u < w else (w, u)
-        if key in edge_face:
+        if key in unwalked:
             return None  # two faces over the same ring edge
-        edge_face[key] = f
+        unwalked.add(key)
         adj.setdefault(u, []).append(w)
         adj.setdefault(w, []).append(u)
     if any(len(nbrs) > 2 for nbrs in adj.values()):
@@ -173,7 +165,6 @@ def _try_undirected_walk(starts, ends, face_ids):
     boundary = bool(loose)
     start = loose[0] if boundary else min(adj)
     ring = [start]
-    face_order = []
     prev = None
     node = start
     for _ in range(m):
@@ -186,14 +177,14 @@ def _try_undirected_walk(starts, ends, face_ids):
                 return None
             nxt = cand[0]
         key = (node, nxt) if node < nxt else (nxt, node)
-        face_order.append(edge_face.pop(key))
+        unwalked.remove(key)
         prev, node = node, nxt
         if not boundary and node == start:
             break
         ring.append(node)
-    if len(face_order) != m or edge_face:
+    if unwalked:
         return None
-    return ring, face_order, boundary
+    return ring, boundary
 
 
 @_releases_memory
@@ -211,7 +202,6 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     end = faces[:, [2, 0, 1]].ravel()
     order = np.argsort(center * n + start, kind="stable")
     center, start, end = center[order], start[order], end[order]
-    face = (order // 3).astype(np.int32)
     key = center * n + start
     counts = np.bincount(center, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -255,33 +245,24 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
         lo, hi = indptr[i], indptr[i + 1]
         su = start[lo:hi].tolist()
         sw = end[lo:hi].tolist()
-        sf = face[lo:hi].tolist()
-        res = _try_undirected_walk(su, sw, sf)
+        res = _try_undirected_walk(su, sw)
         is_manifold[i] = res is not None
-        if res is None:
-            res = sorted(set(su) | set(sw)), sorted(sf), False
-        fallback[i] = res
-        ring_sizes[i] = len(res[0])
-        is_boundary[i] = res[2]
+        fallback[i], is_boundary[i] = res or (sorted(set(su) | set(sw)), False)
+        ring_sizes[i] = len(fallback[i])
 
     ring_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(ring_sizes, out=ring_indptr[1:])
     ring_flat = np.empty(ring_indptr[-1], dtype=np.int32)
-    face_flat = np.empty(len(key), dtype=np.int32)
     slots = np.flatnonzero(simple[center])
     ring_flat[slots + (ring_indptr - indptr)[center[slots]]] = start[walk[slots]]
-    face_flat[slots] = face[walk[slots]]
     tail_of = np.flatnonzero(is_boundary & simple)
     ring_flat[ring_indptr[tail_of + 1] - 1] = end[walk[indptr[tail_of + 1] - 1]]
-    for i, (ring, face_order, _) in fallback.items():
+    for i, ring in fallback.items():
         ring_flat[ring_indptr[i]:ring_indptr[i + 1]] = ring
-        face_flat[indptr[i]:indptr[i + 1]] = face_order
     return MeshTopology(
         faces=faces,
         ring_flat=ring_flat,
         ring_indptr=ring_indptr,
-        face_flat=face_flat,
-        face_indptr=indptr,
         is_boundary=is_boundary,
         is_manifold_fan=is_manifold,
     )

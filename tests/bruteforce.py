@@ -16,6 +16,10 @@ def reference_step(positions, topology, coloring, edge_scale):
     """One full sweep over all domains, updated in place between domains."""
     pos = np.array(positions, dtype=np.float64)
     faces = topology.faces
+    incident = [[] for _ in range(len(pos))]
+    for f, corners in enumerate(faces.tolist()):
+        for v in corners:
+            incident[v].append(f)
     dir_tol = DIR_TOL * edge_scale
     nrm_tol = NRM_TOL * edge_scale * edge_scale
     for domain in coloring.domains:
@@ -38,7 +42,7 @@ def reference_step(positions, topology, coloring, edge_scale):
 
             normals = []
             acc = np.zeros(3)
-            for f in topology.vertex_faces[i]:
+            for f in incident[i]:
                 a, b, c = faces[f]
                 cr = np.cross(snap[b] - snap[a], snap[c] - snap[a])
                 ln = float(np.linalg.norm(cr))

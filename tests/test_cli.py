@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +198,14 @@ def test_bench_csv(tmp_path, capsys):
     assert float(cols[4]) >= 0.0
 
 
+@pytest.mark.parametrize("option,value", [("--iters", "a"), ("--threads", "1,x")])
+def test_bench_bad_list_is_usage_error(tmp_path, capsys, option, value):
+    with pytest.raises(SystemExit) as exit_info:
+        run("bench", "-i", tmp_path / "s.obj", option, value)
+    assert exit_info.value.code == 2
+    assert f"argument {option}: " in capsys.readouterr().err
+
+
 def test_stats_json(tmp_path, capsys):
     grid_path = tmp_path / "g.obj"
     run("gen", "--kind", "grid", "--res", "4", "-o", grid_path)
@@ -258,6 +269,32 @@ def test_non_finite_obj_exit_code(tmp_path, capsys, command, token):
     assert captured.out == ""
     assert "non-finite" in captured.err
     assert not (tmp_path / "o.obj").exists()
+
+
+def test_filter_coincident_vertices_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.obj"
+    bad.write_text("v 1 2 3\nv 1 2 3\nv 1 2 3\nf 1 2 3\n")
+    out, trace = tmp_path / "o.obj", tmp_path / "t.csv"
+    assert run("filter", "-i", bad, "-o", out, "--iters", "1",
+               "--trace", trace) == 3
+    assert "edge scale 0.0" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # site .pth files may preload modules, so only the import's additions count
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import gcfmesh, gcfmesh.cli\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "allowed = set(sys.stdlib_module_names) | {'numpy', 'gcfmesh'}\n"
+            "print(sorted(new - allowed))\n")
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == "[]\n"
 
 
 def test_label_colors_match_palette_and_hash():

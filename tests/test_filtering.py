@@ -14,6 +14,7 @@ from gcfmesh import (
     mean_edge_length,
     mesh_stats,
 )
+from gcfmesh.errors import DegenerateMeshError
 
 import reduce_reference
 from bruteforce import reference_step
@@ -157,6 +158,21 @@ def test_degenerate_neighborhood_raises():
     out, _ = gcf_filter(fan, topo, col, FilterConfig(iterations=3))
     assert np.array_equal(out.vertices, fan.vertices)
     assert np.array_equal(out.faces, fan.faces)
+
+
+def test_coincident_fan_raises():
+    # every edge has length 0, so the cutoffs have no scale to anchor to
+    fan = _closed_fan((0.0, 0.0, 0.0), np.zeros((6, 3)))
+    topo = build_topology(fan)
+    col = greedy_domain_decomposition(topo)
+    with pytest.raises(DegenerateMeshError, match="edge scale 0.0"):
+        gcf_filter(fan, topo, col, FilterConfig(iterations=1))
+
+
+@pytest.mark.parametrize("edge_scale", [0.0, float("nan"), float("inf")])
+def test_step_rejects_degenerate_edge_scale(edge_scale):
+    with pytest.raises(DegenerateMeshError, match="edge scale"):
+        _step(g.icosphere(2), edge_scale=edge_scale)
 
 
 # --- single step -------------------------------------------------------------
