@@ -1,0 +1,294 @@
+"""The columnar readers against the per-line reference in `line_reader.py`,
+plus the cases where the two differ on purpose and the error order across
+columns and chunks."""
+
+import functools
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import gcfmesh as g
+import line_reader
+from gcfmesh import TriangleMesh, load_mesh, load_mesh_attributes, save_mesh
+from gcfmesh.errors import FaceIndexError, ParseError
+from gcfmesh.io import _CHUNK_ROWS
+
+from conftest import random_meshes
+
+
+def _bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+def _outcome(load, path):
+    """What `load(path)` returns, as comparable bits, or the class and line
+    of what it raises; with the warnings it gave either way."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        try:
+            mesh, quality, colors = load(path)
+            result = ("ok", _bits(mesh.vertices), _bits(mesh.faces),
+                      _bits(quality), _bits(colors))
+        except Exception as err:  # the class is what is compared
+            result = ("raised", type(err), getattr(err, "line", None))
+    return result, [str(w.message) for w in record]
+
+
+def _strip(rows, seed):
+    """A triangle strip with vertex and face rows adding up to `rows`."""
+    n = (rows + 3) // 2
+    rng = np.random.Generator(np.random.PCG64(seed))
+    faces = [(i, i + 1, i + 2) for i in range(rows - n)]
+    return TriangleMesh(rng.standard_normal((n, 3)), faces)
+
+
+@functools.cache
+def _base_files():
+    """(suffix, text) of every save of random_meshes() in each format, PLY
+    with and without quality and colors, and of strips of 4095, 4096 and
+    4097 rows around the chunk size."""
+    meshes = random_meshes() + [_strip(r, r) for r in (4095, 4096, 4097)]
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp)
+        for k, mesh in enumerate(meshes):
+            rng = np.random.Generator(np.random.PCG64(k))
+            quality = rng.standard_normal(mesh.vertex_count)
+            colors = rng.integers(0, 256, (mesh.vertex_count, 3))
+            variants = [("obj", {}), ("off", {}), ("ply", {}),
+                        ("ply", {"scalars": quality}), ("ply", {"colors": colors}),
+                        ("ply", {"scalars": quality, "colors": colors})]
+            for fmt, extra in variants:
+                save_mesh(mesh, path / f"m.{fmt}", **extra)
+                files.append((fmt, (path / f"m.{fmt}").read_text()))
+    return files
+
+
+# Tokens a mutation writes: numbers of every kind Python's float() and int()
+# accept or reject, indices out of range, and junk.
+_TOKENS = ["", "x", "#", "0", "1", "2", "3", "4", "-1", "-3", "-0", "2.5",
+           "1e400", "nan", "-inf", "256", "1/2", "3//1", "/2", "1_0", "٣",
+           "�", str(2**64), str(2**63 - 1), str(-2**63), "0x10"]
+_LINES = ["", "   ", "#", "# note", "\t"]
+
+
+@st.composite
+def _mutated(draw):
+    suffix, text = draw(st.sampled_from(_base_files()))
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(0, 3))):
+        edges = [i for i in range(_CHUNK_ROWS - 2, _CHUNK_ROWS + 2) if i < len(lines)]
+        i = draw(st.integers(0, len(lines) - 1) | st.sampled_from(edges or [0]))
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens)))
+        op = draw(st.sampled_from(["delete", "duplicate", "insert line",
+                                   "replace", "delete token", "insert token"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "insert line":
+            lines.insert(i, draw(st.sampled_from(_LINES)))
+        elif op == "replace":
+            tokens[min(j, len(tokens) - 1)] = draw(st.sampled_from(_TOKENS))
+        elif op == "delete token":
+            del tokens[min(j, len(tokens) - 1)]
+        else:
+            tokens.insert(j, draw(st.sampled_from(_TOKENS)))
+        if op in ("replace", "delete token", "insert token"):
+            lines[i] = " ".join(tokens)
+        if not lines:
+            lines = [""]
+    return suffix, "\n".join(lines)
+
+
+def _mended(suffix, text):
+    """Whether `text` is one of the inputs the readers now read differently
+    from the reference, or one on which both would run for ever."""
+    rows = [t for t in (line.split() for line in text.split("\n"))
+            if t and not t[0].startswith("#")]
+    if suffix == "off":
+        return bool(rows) and 2 <= len(rows[0]) <= 3
+    if suffix != "ply":
+        return False
+    element = None
+    for tokens in rows[1:]:
+        if tokens[0] == "end_header":
+            break
+        if tokens[0] == "element" and len(tokens) > 2:
+            element = [tokens[1], []]
+            try:
+                if tokens[1] not in ("vertex", "face") and int(tokens[2]) > 10**6:
+                    return True  # skipping past the end takes that many rows
+            except ValueError:
+                pass
+        elif tokens[0] == "property" and len(tokens) > 2 and element:
+            element[1].append(tokens[1] == "list")
+            kinds = element[1]
+            if element[0] == "face" and kinds[-1] and (not kinds[0] or kinds.count(True) > 1):
+                return True
+    return False
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_mutated())
+def test_columnar_readers_match_line_reader(tmp_path, case):
+    suffix, text = case
+    assume(not _mended(suffix, text))
+    path = tmp_path / f"m.{suffix}"
+    path.write_text(text)
+    assert _outcome(load_mesh_attributes, path) == _outcome(
+        line_reader.load_mesh_attributes, path)
+
+
+def test_multi_chunk_files_match_line_reader(tmp_path):
+    mesh = g.cylinder(160, 156)  # 25k vertices, about 19 chunks of rows
+    mesh = g.add_noise(mesh, g.build_topology(mesh), g.NoiseConfig(0.01, seed=3))
+    rng = np.random.Generator(np.random.PCG64(5))
+    extra = {"scalars": rng.standard_normal(mesh.vertex_count),
+             "colors": rng.integers(0, 256, (mesh.vertex_count, 3))}
+    for fmt in ("obj", "off", "ply"):
+        path = tmp_path / f"big.{fmt}"
+        save_mesh(mesh, path, **(extra if fmt == "ply" else {}))
+        result, record = _outcome(load_mesh_attributes, path)
+        assert result[0] == "ok"
+        assert (result, record) == _outcome(line_reader.load_mesh_attributes, path)
+
+
+# --- Where the readers differ from the reference on purpose -----------------
+
+_PLY_SQUARE = ("ply\nformat ascii 1.0\nelement vertex 4\nproperty double x\n"
+               "property double y\nproperty double z\nelement face 2\n{}"
+               "end_header\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n{}")
+
+
+def test_ply_face_count_follows_scalars_before_the_list(tmp_path):
+    p = tmp_path / "flags.ply"
+    p.write_text(_PLY_SQUARE.format(
+        "property uchar flags\nproperty list uchar int vertex_indices\n",
+        "3 3 0 1 2\n3 3 1 3 2\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_mesh(p).faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+    with pytest.warns(UserWarning, match="dropped 1 degenerate faces"):
+        mesh, _, _ = line_reader.load_mesh_attributes(p)
+    assert mesh.faces.tolist() == [[3, 0, 1]]
+
+
+def test_ply_vertex_indices_after_another_list_is_parse_error(tmp_path):
+    p = tmp_path / "lists.ply"
+    p.write_text(_PLY_SQUARE.format(
+        "property list uchar float texcoord\nproperty list uchar int vertex_indices\n",
+        "2 0 0 3 0 1 2\n2 0 0 3 1 3 2\n"))
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == 9
+
+
+def test_off_counts_on_the_header_line(tmp_path):
+    p = tmp_path / "head.off"
+    p.write_text("OFF 3 1\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    mesh = load_mesh(p)
+    assert (mesh.vertex_count, mesh.faces.tolist()) == (3, [[0, 1, 2]])
+    reference, _, _ = line_reader.load_mesh_attributes(p)
+    assert (reference.vertex_count, reference.face_count) == (0, 0)
+
+
+def test_off_header_with_one_count_is_parse_error(tmp_path):
+    p = tmp_path / "one.off"
+    p.write_text("OFF 3\n1 0 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("index", [2**63, -2**63 - 1])
+def test_obj_index_outside_int64_is_parse_error(tmp_path, index):
+    p = tmp_path / "huge.obj"
+    p.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {index}\n")
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == 4
+    with pytest.raises(FaceIndexError):
+        line_reader.load_mesh_attributes(p)
+
+
+# --- Error order across columns and chunks ----------------------------------
+
+_PLY_HEAD = ("ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\n"
+             "property double y\nproperty double z\nelement face {}\n"
+             "property list uchar int vertex_indices\nend_header\n")
+_HEAD_LINES = {"obj": 0, "off": 2, "ply": 9}
+
+
+def _text(fmt, vertices, faces):
+    """A file of `vertices` rows ("x y z") then `faces` rows ("k i j ..")."""
+    if fmt == "obj":
+        return "".join(f"v {v}\n" for v in vertices) + "".join(
+            "f " + " ".join(str(int(i) + 1) for i in f.split()[1:]) + "\n" for f in faces)
+    head = (f"OFF\n{len(vertices)} {len(faces)} 0\n" if fmt == "off"
+            else _PLY_HEAD.format(len(vertices), len(faces)))
+    return head + "".join(f"{row}\n" for row in vertices + faces)
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off", "ply"])
+def test_bad_vertex_before_short_face_reports_the_vertex(tmp_path, fmt):
+    vertices = ["0 0 0", "0 nope 0", "1 0 0", "0 1 0"]  # then the face, on line 5 in OBJ
+    p = tmp_path / f"m.{fmt}"
+    p.write_text(_text(fmt, vertices, ["2 0 2"]))
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == _HEAD_LINES[fmt] + 2
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off", "ply"])
+def test_bad_vertex_before_missing_rows_reports_the_vertex(tmp_path, fmt):
+    text = _text(fmt, ["0 0 0", "1 nope 0", "0 1 0"], ["3 0 1 2"])
+    cut = text.split("\n")[:_HEAD_LINES[fmt] + 2]  # the file ends after the bad row
+    p = tmp_path / f"m.{fmt}"
+    p.write_text("\n".join(cut) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == _HEAD_LINES[fmt] + 2
+
+
+def test_short_face_before_bad_vertex_reports_the_face(tmp_path):
+    p = tmp_path / "m.obj"
+    p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\nv nope 0 0\n")
+    with pytest.raises(ParseError, match="face with 2 indices") as err:
+        load_mesh(p)
+    assert err.value.line == 4
+    q = tmp_path / "m.ply"
+    q.write_text("ply\nformat ascii 1.0\nelement face 1\n"
+                 "property list uchar int vertex_indices\nelement vertex 2\n"
+                 "property double x\nproperty double y\nproperty double z\n"
+                 "end_header\n2 0 1\n0 0 0\n0 nope 0\n")
+    with pytest.raises(ParseError, match="face with 2 indices") as err:
+        load_mesh(q)
+    assert err.value.line == 10
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off", "ply"])
+@pytest.mark.parametrize("row", [0, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1])
+@pytest.mark.parametrize("kind", ["vertex", "face"])
+def test_bad_token_at_a_chunk_edge_reports_its_line(tmp_path, fmt, row, kind):
+    # Each element starts a chunk, and in OBJ the faces start on line 2 * C + 1,
+    # so rows 0, C - 1, C and 2 * C - 1 of either kind begin or end a chunk.
+    n = 2 * _CHUNK_ROWS
+    vertices = [f"{i} {i % 7} 0.5" for i in range(n)]
+    faces = [f"3 {i} {(i + 1) % n} {(i + 2) % n}" for i in range(n)]
+    line = _HEAD_LINES[fmt] + row + (n if kind == "face" else 0)
+    lines = _text(fmt, vertices, faces).split("\n")
+    lines[line] += "x"
+    p = tmp_path / f"m.{fmt}"
+    p.write_text("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == line + 1
