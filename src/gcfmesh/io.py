@@ -41,26 +41,23 @@ _CHUNK_ROWS = 4096
 class _Lines:
     """The lines of an open text file as (text, lineno) pairs in `numbered`.
 
-    A row is a line that is neither blank nor a `#` comment. A reader that
-    runs out of lines sees empty rows, numbered on as readline would.
+    A row is a line that is neither blank nor a `#` comment. `lineno` is the
+    number of the last line read; a reader that runs out of lines sees empty
+    rows, numbered on as readline would.
     """
 
     def __init__(self, fh):
-        self._numbers = count(1)
-        # zip takes from fh first, so at the end _numbers holds the next number
-        self.numbered = zip(fh, self._numbers)
-
-    def past_end(self):
-        """The number of the next line past the end of the file."""
-        return next(self._numbers)
+        self.lineno = 0
+        self.numbered = zip(fh, count(1))
 
     def next_row(self):
-        """(lineno, tokens) of the next row, or (lineno, []) past the end."""
-        for text, lineno in self.numbered:
+        """The tokens of the next row, or [] past the end."""
+        for text, self.lineno in self.numbered:
             tokens = text.split()
             if tokens and tokens[0][0] != "#":
-                return lineno, tokens
-        return self.past_end(), []
+                return tokens
+        self.lineno += 1
+        return []
 
 
 def _open(path):
@@ -108,7 +105,7 @@ class _Columns:
         the vertices read so far."""
         self.path = path
         self._obj = obj
-        self._width = self._count = 0
+        self._width = 0
         self._get_xyz = self._get_quality = self._get_rgb = None
         # converted chunks go into buffers that grow in place, so the end
         # of the load makes no second copy of a whole column
@@ -127,17 +124,15 @@ class _Columns:
         if rgb is not None:
             self._get_rgb, self._colors = itemgetter(*rgb), array("q")
 
-    def face_layout(self, count):
-        """Face rows hold their index count in column `count`, then the
-        indices; with `obj`, `count` is the column of the `f` key."""
-        self._count = count
-
-    def route(self, lines, key=None, rows=None, lineno=0):
+    def route(self, lines, key=None, rows=None, count=0):
         """Route the next `rows` rows of `lines` (to the end if None), each a
-        vertex row if `key` is "v", a face row if it is "f", and if `key` is
-        None as its first token says (other rows are skipped); then flush.
-        `lineno` is the line read just before. Return the last line read."""
-        obj, count, width = self._obj, self._count, self._width
+        vertex row if `key` is "v", a face row if it is "f", skipped for any
+        other key, and if `key` is None as its first token says; then flush.
+        Face rows hold their index count in column `count`, then the indices;
+        with `obj`, `count` is the column of the `f` key. A vertex or face
+        section that the file ends before is a ParseError; the missing rows
+        of a skipped one still count toward the lines after it."""
+        obj, width, lineno = self._obj, self._width, lines.lineno
         get_xyz, get_quality, get_rgb = self._get_xyz, self._get_quality, self._get_rgb
         xyz, quality, rgb, vertex_lines = self.xyz, self.quality, self.rgb, self.vertex_lines
         counts, spans, indices, face_lines = self.counts, self.spans, self.indices, self.face_lines
@@ -179,15 +174,16 @@ class _Columns:
                 chunk_end = lineno + _CHUNK_ROWS
                 limit = min(chunk_end, stop)
         else:
-            if key and stop > lineno:
-                short = lines.past_end(), "unexpected end of file"
+            if key in ("v", "f") and stop > lineno:
+                short = lineno + 1, "unexpected end of file"
+            elif key and stop > lineno:  # rows skipped past the end count on
+                lineno = stop
+        lines.lineno = lineno
         self.flush(short)
-        return lineno
 
     def arrays(self):
         """(vertices (n, 3) float64, flat int64, sizes int64, quality float64
-        or None, colors (n, 3) int64 or None) of all rows read."""
-        self.flush()
+        or None, colors (n, 3) int64 or None) of all rows routed."""
         vertices, flat, sizes, quality, colors = (
             None if out is None else np.frombuffer(out, dtype=np.dtype(out.typecode))
             for out in (self._vertices, self._flat, self._sizes, self._quality, self._colors))
@@ -283,7 +279,7 @@ def _detect_format(path: Path) -> str:
     if suffix in _FORMATS:
         return suffix
     with _open(path) as fh:
-        _, tokens = _Lines(fh).next_row()
+        tokens = _Lines(fh).next_row()
     head = tokens[0] if tokens else ""
     if len(tokens) == 1 and head.lower() == "ply":
         return "ply"
@@ -318,80 +314,62 @@ def _fan_triangulate(flat, sizes, path):
     return tris
 
 
-def _load_obj(path: Path):
-    columns = _Columns(path, obj=True)
+def _load_obj(lines, columns):
     columns.vertex_layout((1, 2, 3), 4)
-    columns.face_layout(0)
-    with _open(path) as fh:
-        # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are skipped
-        columns.route(_Lines(fh))
-    return columns.arrays()
+    # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are skipped
+    columns.route(lines)
 
 
-def _load_off(path: Path):
-    with _open(path) as fh:
-        lines = _Lines(fh)
-        lineno, tokens = lines.next_row()
-        if not tokens:
-            raise ParseError("empty file", path, lineno)
-        if tokens[0] not in _OFF_HEADERS:
-            raise ParseError(f"missing OFF header, got {tokens[0]!r}", path, lineno)
-        counts = tokens[1:]  # on the header line, or else on the next
-        if not counts:
-            lineno, counts = lines.next_row()
-            if not counts:
-                raise ParseError("missing vertex/face counts", path, lineno)
-        try:
-            n_vert, n_face = int(counts[0]), int(counts[1])
-        except (ValueError, IndexError):
-            raise ParseError(f"bad count line {counts!r}", path, lineno)
-        columns = _Columns(path)
-        columns.vertex_layout((0, 1, 2), 3)
-        columns.face_layout(0)
-        lineno = columns.route(lines, "v", n_vert, lineno)
-        columns.route(lines, "f", n_face, lineno)
-    return columns.arrays()
+def _load_off(lines, columns):
+    path, tokens = columns.path, lines.next_row()
+    if not tokens:
+        raise ParseError("empty file", path, lines.lineno)
+    if tokens[0] not in _OFF_HEADERS:
+        raise ParseError(f"missing OFF header, got {tokens[0]!r}", path, lines.lineno)
+    counts = tokens[1:] or lines.next_row()  # on the header line, or else on the next
+    if not counts:
+        raise ParseError("missing vertex/face counts", path, lines.lineno)
+    try:
+        n_vert, n_face = int(counts[0]), int(counts[1])
+    except (ValueError, IndexError):
+        raise ParseError(f"bad count line {counts!r}", path, lines.lineno)
+    columns.vertex_layout((0, 1, 2), 3)
+    columns.route(lines, "v", n_vert)
+    columns.route(lines, "f", n_face)
 
 
-def _load_ply(path: Path):
-    with _open(path) as fh:
-        lines = _Lines(fh)
-        elements, lineno = _ply_header(lines, path)
-        columns = _Columns(path)
-        for name, rows, props in elements:
+def _load_ply(lines, columns):
+    path = columns.path
+    for name, rows, props in _ply_header(lines, path):
+        key, count = "skip", 0  # the rows of other elements are skipped
+        if name == "vertex":
+            names = [p[1] for p in props]
+            if not all(c in names for c in "xyz"):
+                raise ParseError("vertex element lacks x/y/z", path, lines.lineno)
+            rgb = ("red", "green", "blue")
+            columns.vertex_layout(
+                [names.index(c) for c in "xyz"], len(names),
+                names.index("quality") if "quality" in names else None,
+                [names.index(c) for c in rgb] if all(c in names for c in rgb) else None)
+            key = "v"
+        elif name == "face":
             kinds = [kind for kind, _ in props]
-            if name == "vertex":
-                names = [p[1] for p in props]
-                if not all(c in names for c in "xyz"):
-                    raise ParseError("vertex element lacks x/y/z", path, lineno)
-                rgb = ("red", "green", "blue")
-                columns.vertex_layout(
-                    [names.index(c) for c in "xyz"], len(names),
-                    names.index("quality") if "quality" in names else None,
-                    [names.index(c) for c in rgb] if all(c in names for c in rgb) else None)
-                lineno = columns.route(lines, "v", rows, lineno)
-            elif name == "face":
-                if "list" not in kinds:
-                    raise ParseError("face element lacks a list property", path, lineno)
-                # the list's count follows the scalars before it, one token each
-                columns.face_layout(kinds.index("list"))
-                lineno = columns.route(lines, "f", rows, lineno)
-            else:
-                for _ in range(rows):
-                    lineno, _ = lines.next_row()
-    return columns.arrays()
+            if "list" not in kinds:
+                raise ParseError("face element lacks a list property", path, lines.lineno)
+            # the list's count follows the scalars before it, one token each
+            key, count = "f", kinds.index("list")
+        columns.route(lines, key, rows, count)
 
 
 def _ply_header(lines, path):
     """The elements, each (name, count, [(kind, name)]) with kind 'scalar'
-    or 'list', and the line of `end_header`."""
-    lineno, tokens = lines.next_row()
-    if (lineno, tokens) != (1, ["ply"]):
+    or 'list'; `lines` is left at `end_header`."""
+    if (lines.next_row(), lines.lineno) != (["ply"], 1):
         raise ParseError("missing 'ply' magic", path, 1)
     elements = []
     fmt_seen = False
     while True:
-        lineno, tokens = lines.next_row()
+        tokens, lineno = lines.next_row(), lines.lineno
         if not tokens:
             raise ParseError("unexpected end of header", path, lineno)
         if tokens[0] == "comment":
@@ -424,7 +402,7 @@ def _ply_header(lines, path):
             raise ParseError(f"unknown header line {tokens!r}", path, lineno)
     if not fmt_seen:
         raise ParseError("missing format line", path, lineno)
-    return elements, lineno
+    return elements
 
 
 _LOADERS = {"obj": _load_obj, "off": _load_off, "ply": _load_ply}
@@ -449,7 +427,10 @@ def load_mesh_attributes(path, fmt: str = "auto"):
         fmt = _detect_format(path)
     if fmt not in _FORMATS:
         raise UnsupportedFormat(f"unknown format {fmt!r}")
-    vertices, flat, sizes, quality, colors = _LOADERS[fmt](path)
+    columns = _Columns(path, obj=fmt == "obj")
+    with _open(path) as fh:
+        _LOADERS[fmt](_Lines(fh), columns)
+    vertices, flat, sizes, quality, colors = columns.arrays()
     faces = _fan_triangulate(flat, sizes, path)
     if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
         raise FaceIndexError(f"{path}: face index out of range 0..{len(vertices) - 1}")
@@ -457,15 +438,12 @@ def load_mesh_attributes(path, fmt: str = "auto"):
     return mesh, quality, None if colors is None else colors.astype(np.uint8)
 
 
-_ROWS_PER_WRITE = 4096
-
-
 def _write_rows(fh, template, columns, base=0):
     """Write `template % row` + newline for each row of `columns` side by side
-    (plus `base`), _ROWS_PER_WRITE rows per write so no copy grows with n."""
+    (plus `base`), _CHUNK_ROWS rows per write so no copy grows with n."""
     line = template + "\n"
-    for lo in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        chunk = np.column_stack([c[lo:lo + _ROWS_PER_WRITE] for c in columns])
+    for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = np.column_stack([c[lo:lo + _CHUNK_ROWS] for c in columns])
         if base:
             chunk += base
         fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))

@@ -66,21 +66,23 @@ class TriangleMesh:
         self.vertices = np.ascontiguousarray(
             np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         )
-        self.faces = np.ascontiguousarray(
-            np.asarray(self.faces, dtype=np.int32).reshape(-1, 3)
-        )
         if not np.isfinite(self.vertices).all():
             bad = int(np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0])
             raise NonFiniteError(f"vertex {bad} has a non-finite coordinate")
-        if self.faces.size:
-            lo = int(self.faces.min())
-            hi = int(self.faces.max())
-            if lo < 0 or hi >= len(self.vertices):
-                bad = lo if lo < 0 else hi
+        faces = np.asarray(self.faces).reshape(-1, 3)  # checked before the int32 cast
+        if faces.size:
+            lo, hi = faces.min(), faces.max()
+            if not (lo >= 0 and hi < len(self.vertices)):  # NaN fails here too
+                bad = hi if lo >= 0 else lo
                 raise FaceIndexError(
                     f"face index {bad} outside valid range 0..{len(self.vertices) - 1}"
                 )
-            f = self.faces
+        self.faces = f = np.ascontiguousarray(faces, dtype=np.int32)
+        if f.size:
+            # an integer in range casts exactly; anything else must equal its cast
+            fractional = () if faces.dtype.kind in "iu" else faces[f != faces]
+            if len(fractional):
+                raise FaceIndexError(f"face index {fractional[0]} is not an integer")
             dup = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
             if dup.any():
                 raise FaceIndexError(
@@ -94,9 +96,6 @@ class TriangleMesh:
     @property
     def face_count(self) -> int:
         return len(self.faces)
-
-    def copy(self) -> "TriangleMesh":
-        return TriangleMesh(self.vertices.copy(), self.faces.copy())
 
 
 @dataclass

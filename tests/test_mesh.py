@@ -25,6 +25,18 @@ def test_repeated_index_rejected():
         TriangleMesh([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 1)])
 
 
+@pytest.mark.parametrize("faces", [[[0, 1, 2**32 + 2]], np.array([[0, 1, 2**32 + 2]])])
+def test_face_index_past_int32_is_not_wrapped(faces):
+    with pytest.raises(FaceIndexError, match="4294967298"):
+        TriangleMesh(np.eye(3), faces)
+
+
+def test_fractional_face_index_rejected():
+    with pytest.raises(FaceIndexError, match="2.7 is not an integer"):
+        TriangleMesh(np.eye(3), [[0, 1, 2.7]])
+    assert TriangleMesh(np.eye(3), [[0.0, 1.0, 2.0]]).faces.tolist() == [[0, 1, 2]]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_coordinate_rejected(value):
     verts = np.array([(0.0, 0, 0), (1.0, 0, 0), (0.0, 1, 0), (1.0, 1, 0)])

@@ -4,6 +4,7 @@ columns and chunks."""
 
 import functools
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -292,3 +293,37 @@ def test_bad_token_at_a_chunk_edge_reports_its_line(tmp_path, fmt, row, kind):
     with pytest.raises(ParseError) as err:
         load_mesh(p)
     assert err.value.line == line + 1
+
+
+# --- PLY elements the readers skip ------------------------------------------
+
+_SQUARE_FACES = "property list uchar int vertex_indices\n"
+
+
+def test_ply_rows_declared_past_the_end_are_not_read_one_by_one(tmp_path):
+    plain, extra = tmp_path / "plain.ply", tmp_path / "extra.ply"
+    save_mesh(g.icosphere(1), plain)
+    extra.write_text(plain.read_text().replace(
+        "end_header", "element extra 10000000\nproperty double w\nend_header"))
+    start = time.perf_counter()
+    result = _outcome(load_mesh_attributes, extra)
+    assert time.perf_counter() - start < 1.0
+    assert result == _outcome(load_mesh_attributes, plain)
+
+
+def test_ply_skipped_element_counts_its_missing_rows(tmp_path):
+    p = tmp_path / "x.ply"
+    p.write_text(_PLY_SQUARE.format(_SQUARE_FACES, "3 0 1 2\n3 1 3 2\n").replace(
+        "element vertex 4", "element x 256"))
+    with pytest.raises(ParseError, match="unexpected end of file") as err:
+        load_mesh(p)
+    assert err.value.line == 266  # 9 header lines, 256 skipped rows, then the faces
+    assert _outcome(load_mesh_attributes, p) == _outcome(line_reader.load_mesh_attributes, p)
+
+
+def test_ply_skipped_last_element_cut_short_still_loads(tmp_path):
+    p = tmp_path / "cut.ply"
+    p.write_text(_PLY_SQUARE.format(
+        _SQUARE_FACES + "element extra 5\nproperty double w\n", "3 0 1 2\n3 1 3 2\n1.5\n"))
+    assert load_mesh(p).faces.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert _outcome(load_mesh_attributes, p) == _outcome(line_reader.load_mesh_attributes, p)
