@@ -25,8 +25,9 @@ from . import __version__
 from .baselines import laplacian_smooth, taubin_smooth
 from .coloring import greedy_domain_decomposition
 from .curvature import gaussian_curvature, gaussian_curvature_energy
-from .errors import (FaceIndexError, FormatCapabilityError, MeshError,
-                     ParseError, UnsupportedFormat)
+from .errors import (DegenerateMeshError, FaceIndexError,
+                     FormatCapabilityError, MeshError, ParseError,
+                     UnsupportedFormat)
 from .filtering import FilterConfig, gcf_filter
 from .generate import generate_mesh
 from .io import _output_format, _write_rows, load_mesh, save_mesh
@@ -199,7 +200,11 @@ def cmd_bench(args, run):
 
 
 def cmd_stats(args, run):
-    stats = mesh_stats(run.mesh)
+    with np.errstate(over="ignore"):  # reported below, not as a warning
+        stats = mesh_stats(run.mesh)
+    if not np.isfinite(stats.mean_edge_length):
+        raise DegenerateMeshError("mean edge length overflows to inf "
+                                  "(are the coordinates too large to square?)")
     json.dump({
         "vertices": stats.vertex_count,
         "faces": stats.face_count,

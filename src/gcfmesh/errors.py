@@ -62,4 +62,4 @@ class NonFiniteError(MeshError):
 
 
 class DegenerateMeshError(MeshError):
-    """The edge scale that anchors the filter's cutoffs is zero or not finite."""
+    """The mean edge length (the filter's edge scale) is zero or not finite."""

@@ -24,6 +24,9 @@ normal candidates with magnitude below 1e-14*e^2 are dropped.
 The sweep runs one dense (rows x degree) kernel per block of at most
 _BLOCK rows of a (domain, degree) group, so per-row arithmetic has a fixed
 internal order and the output is bitwise independent of the worker count.
+Blocks are gathered from a Fortran-ordered snapshot into component-major
+(3, degree, rows) storage, so every x, y or z slice is contiguous; only the
+batched projection copies its operands to C order, to stay on one BLAS path.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def _ring_sum(v):
     """v.sum(axis=1) of a (rows, degree, ...) block, bitwise: numpy adds the
     ring axis in order from +0.0 and so does this loop, one whole slice per
     step instead of ufunc.reduce's short inner loop per row."""
-    out = np.zeros(v.shape[:1] + v.shape[2:])
+    out = np.zeros_like(v[:, 0])
     for k in range(v.shape[1]):
         out += v[:, k]
     return out
@@ -113,19 +116,20 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     a fixed-length axis, so a row's result does not depend on which other
     rows share the block.
     """
-    vi = snapshot[rows]
-    ring_pos = snapshot[rings]
+    vi = np.take(snapshot.T, rows, axis=1).T
+    ring_pos = np.take(snapshot.T, rings.T, axis=1).T
     edges = ring_pos - vi[:, None, :]
 
     direction, has_dir = _unit(_ring_sum(edges) / rings.shape[1], dir_tol)
 
-    vnormal = 0.5 * _ring_sum(_cross3(edges, np.roll(edges, -1, axis=1)))
+    candidates = np.empty((3, rings.shape[1] + 1, len(rows))).T
+    candidates[:, 0] = 0.5 * _ring_sum(_cross3(edges, np.roll(edges, -1, axis=1)))
     chain = ring_pos - np.roll(ring_pos, 1, axis=1)
-    candidates = np.concatenate(
-        [vnormal[:, None], _cross3(chain, np.roll(chain, -1, axis=1))], axis=1)
+    _cross3(chain, np.roll(chain, -1, axis=1), out=candidates[:, 1:])
     normals, ok = _unit(candidates, normal_tol)
 
-    proj = np.abs(normals @ edges.transpose(0, 2, 1))
+    proj = np.abs(np.ascontiguousarray(normals)
+                  @ np.ascontiguousarray(edges.transpose(0, 2, 1)))
     proj[~ok] = np.inf
     dist = proj.min(axis=(1, 2))
 
@@ -161,9 +165,11 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
     and after every sweep when capture_trace is set, else None.
     """
     if not (np.isfinite(edge_scale) and edge_scale > 0):
+        cause = ("do all vertices coincide, or are the coordinates too small "
+                 "to square?" if np.isfinite(edge_scale)
+                 else "are the coordinates too large to square?")
         raise DegenerateMeshError(
-            f"edge scale {edge_scale} is not finite and positive "
-            "(do all vertices coincide?)")
+            f"edge scale {edge_scale} is not finite and positive ({cause})")
     dir_tol = DIRECTION_TOL * edge_scale
     normal_tol = NORMAL_TOL * edge_scale * edge_scale
     plan = _build_plan(topology, coloring)
@@ -175,7 +181,7 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
             for groups in plan:
                 if not groups:
                     continue
-                snapshot = positions.copy()
+                snapshot = positions.copy(order="F")
                 for group in groups:
                     _run_group(positions, snapshot, group, dir_tol, normal_tol, pool)
             if trace is not None:

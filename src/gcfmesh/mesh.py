@@ -311,13 +311,15 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     )
 
 
-def _cross3(a, b):
+def _cross3(a, b, out=None):
     """Component-wise cross product along the last axis (length 3).
 
     Equivalent to np.cross but without its dtype/axis plumbing, which
-    dominates kernel time on large blocks.
+    dominates kernel time on large blocks. The result goes to `out` if
+    given, else to a new array laid out like `a` (a and b have one shape).
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    if out is None:
+        out = np.empty_like(a, dtype=np.float64)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     out[..., 0] = a1 * b2 - a2 * b1

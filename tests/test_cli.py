@@ -444,3 +444,25 @@ def test_curvature_bad_suffix_fails_before_the_work(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err == \
         "error: curvature export requires .csv or .ply\n"
     assert not out.exists()
+
+
+def _huge_obj(tmp_path):
+    path = tmp_path / "huge.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1e300 0\nf 1 2 3\n")
+    return path
+
+
+def test_stats_overflowing_edge_length_exit_code(tmp_path, capsys):
+    assert run("stats", "-i", _huge_obj(tmp_path)) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err
+
+
+def test_filter_overflowing_edge_scale_exit_code(tmp_path, capsys):
+    out = tmp_path / "o.obj"
+    with np.errstate(over="ignore"):
+        assert run("filter", "-i", _huge_obj(tmp_path), "-o", out,
+                   "--iters", "1") == 3
+    assert "coordinates too large" in capsys.readouterr().err
+    assert not out.exists()

@@ -451,3 +451,92 @@ def test_last_trace_entry_is_output_energy():
                             FilterConfig(iterations=5, capture_trace=True))
     assert trace.gce_per_iteration[-1] == g.gaussian_curvature_energy(
         gaussian_curvature(out, topo))
+
+
+def _assert_kernel_matches_reference(mesh, block=None):
+    """_kernel equals reduce_reference.kernel bit for bit on every block,
+    from a C-ordered and from a Fortran-ordered snapshot; returns the
+    degrees seen."""
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    scale = mean_edge_length(mesh.vertices, mesh.faces)
+    tols = (g.filtering.DIRECTION_TOL * scale,
+            g.filtering.NORMAL_TOL * scale * scale)
+    block = block or g.filtering._BLOCK
+    snapshots = (mesh.vertices, np.asfortranarray(mesh.vertices))
+    degrees = set()
+    for groups in g.filtering._build_plan(topo, col):
+        for rows, rings in groups:
+            degrees.add(rings.shape[1])
+            for lo in range(0, len(rows), block):
+                args = (rows[lo:lo + block], rings[lo:lo + block], *tols)
+                want = reduce_reference.kernel(mesh.vertices, *args)
+                for snapshot in snapshots:
+                    got = g.filtering._kernel(snapshot, *args)
+                    assert np.array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
+    return degrees
+
+
+@pytest.mark.parametrize("mesh", [
+    _noisy(g.icosphere(3), 1), _noisy(g.cube(6), 2), _noisy(g.cone(10, 3), 3),
+    _signed_zero_grid(),
+], ids=["icosphere", "cube", "cone", "grid"])
+def test_kernel_bitwise_from_c_and_fortran_snapshots(mesh):
+    assert _assert_kernel_matches_reference(mesh)
+
+
+def test_kernel_bitwise_on_high_degree_caps():
+    # each cap center of cylinder(72, 3) is one row of degree 72
+    degrees = _assert_kernel_matches_reference(_noisy(g.cylinder(72, 3), 5))
+    assert max(degrees) == 72
+
+
+_RANDOM_MESHES = random_meshes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mesh=st.sampled_from(_RANDOM_MESHES), seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([3, 64, 4096]))
+def test_kernel_bitwise_on_random_noisy_meshes(mesh, seed, block):
+    _assert_kernel_matches_reference(_noisy(mesh, seed), block)
+
+
+def test_cross3_into_strided_buffer_is_bitwise():
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((2, 5, 6, 3))
+    buf = np.empty((3, 7, 5)).T  # component-major (5, 7, 3)
+    got = g.mesh._cross3(a, b, out=buf[:, 1:])
+    assert np.shares_memory(got, buf)
+    want = g.mesh._cross3(a, b)
+    assert np.array_equal(buf[:, 1:].view(np.uint64), want.view(np.uint64))
+
+
+def test_zero_edge_scale_message_names_coincident_vertices():
+    with pytest.raises(DegenerateMeshError) as info:
+        _step(g.icosphere(2), edge_scale=0.0)
+    assert str(info.value) == ("edge scale 0.0 is not finite and positive "
+                               "(do all vertices coincide, or are the "
+                               "coordinates too small to square?)")
+
+
+def test_infinite_edge_scale_message_names_large_coordinates():
+    with pytest.raises(DegenerateMeshError) as info:
+        _step(g.icosphere(2), edge_scale=float("inf"))
+    assert str(info.value) == ("edge scale inf is not finite and positive "
+                               "(are the coordinates too large to square?)")
+
+
+def test_step_jacobi_single_domain_from_fortran_positions():
+    # a Fortran-ordered input must still be snapshotted by copy: one domain
+    # holds adjacent vertices, so an aliased snapshot would let later degree
+    # groups read rows that earlier groups already moved
+    mesh = random_meshes()[1]
+    topo = build_topology(mesh)
+    col = g.single_domain_coloring(mesh.vertex_count)
+    el = mesh_stats(mesh).mean_edge_length
+    out = gcf_step(np.asfortranarray(mesh.vertices), topo, col, edge_scale=el)
+    expect = reference_step(mesh.vertices, topo, col, el)
+    assert np.abs(out - expect).max() < 1e-12
+    c_order = gcf_step(mesh.vertices, topo, col, edge_scale=el)
+    assert np.array_equal(out.view(np.uint64), c_order.view(np.uint64))
