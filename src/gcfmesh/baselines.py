@@ -12,30 +12,23 @@ import numpy as np
 from .mesh import MeshTopology, TriangleMesh, _movable, _scatter
 
 
-def _centroids(positions, topology):
-    n = len(positions)
-    deg = topology.ring_sizes
-    sums = _scatter(np.repeat(np.arange(n), deg), positions, topology.ring_flat, n)
-    out = positions.copy()
-    ok = deg > 0
-    out[ok] = sums[ok] / deg[ok, None]
-    return out
-
-
-def _umbrella_pass(positions, topology, factor, movable):
-    centroids = _centroids(positions, topology)
-    positions[movable] += factor * (centroids[movable] - positions[movable])
-
-
 def _smooth(mesh, topology, iterations, factors):
-    """Run one umbrella pass per factor in `factors`, `iterations` times."""
+    """Run one umbrella pass per factor in `factors`, `iterations` times:
+    every movable vertex moves by factor * (ring centroid - vertex)."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
-    movable = _movable(topology)
+    n = mesh.vertex_count
+    deg = topology.ring_sizes
+    center = np.repeat(np.arange(n), deg)
+    has_ring = (deg > 0)[:, None]
+    movable = _movable(topology)[:, None]
     positions = mesh.vertices.copy()
     for _ in range(iterations):
         for factor in factors:
-            _umbrella_pass(positions, topology, factor, movable)
+            centroids = _scatter(center, positions, topology.ring_flat, n)
+            np.divide(centroids, deg[:, None], out=centroids, where=has_ring)
+            np.add(positions, factor * (centroids - positions), out=positions,
+                   where=movable)
     return TriangleMesh(positions, mesh.faces.copy())
 
 

@@ -16,6 +16,12 @@ the face is degenerate exactly when that norm is zero. `_unit` keeps
 vectors whose length is >= its cutoff, so the strict vertex-normal cutoff
 (degenerate at or below 1e-14 times the largest face area) passes it the
 next float above that threshold.
+
+Corners are gathered with `np.take`, because fancy indexing is numpy's slow
+path for rows. The curvature field takes all three corners at once in
+component-major (3, 3, faces) storage, so each x, y or z slice it reads is
+contiguous; `face_normals` takes one corner at a time, so the arrays it
+returns stay C-ordered.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ def face_normals(mesh: TriangleMesh):
     """
     v = mesh.vertices
     f = mesh.faces
-    p0 = v[f[:, 0]]
-    cross = _cross3(v[f[:, 1]] - p0, v[f[:, 2]] - p0)
+    p0, p1, p2 = (np.take(v, f[:, c], axis=0) for c in range(3))
+    cross = _cross3(p1 - p0, p2 - p0)
     double_area = _norm(cross)
     ok = double_area > 0
     normals = np.zeros_like(cross)
@@ -89,10 +95,10 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     n = len(positions)
     deficit = np.full(n, 2.0 * np.pi)
     ring_area = np.zeros(n)
-    p = [positions[faces[:, c]] for c in range(3)]
+    p = np.take(positions.T, faces.T, axis=1).T  # (f, corner, xyz) view
     # edge c runs from corner c to corner c + 1, so corner c spans edge c
     # and the reversed edge c - 1
-    e = [p[(c + 1) % 3] - p[c] for c in range(3)]
+    e = [p[:, (c + 1) % 3] - p[:, c] for c in range(3)]
     sines = _norm(_cross3(e[0], e[2]))
     areas = 0.5 * sines
     for c in range(3):

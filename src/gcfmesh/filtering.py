@@ -21,12 +21,20 @@ Degeneracy cutoffs are relative to the input mesh's mean edge length e:
 a differential coordinate shorter than 1e-14*e yields no direction, and
 normal candidates with magnitude below 1e-14*e^2 are dropped.
 
-The sweep runs one dense (rows x degree) kernel per block of at most
-_BLOCK rows of a (domain, degree) group, so per-row arithmetic has a fixed
-internal order and the output is bitwise independent of the worker count.
-Blocks are gathered from a Fortran-ordered snapshot into component-major
-(3, degree, rows) storage, so every x, y or z slice is contiguous; only the
-batched projection copies its operands to C order, to stay on one BLAS path.
+The sweep runs one dense (rows x degree) kernel per block of a (domain,
+degree) group, so per-row arithmetic has a fixed internal order and the
+output is bitwise independent of the worker count. A block has at most
+_BLOCK rows, and fewer above degree 6: its (rows, d+1, d) projection holds
+no more entries than a _BLOCK-row degree-6 block's, or one row's if that is
+more. Blocks are gathered from a Fortran-ordered snapshot into
+component-major (3, d+2, rows) storage whose first column repeats the
+ring's last neighbor and whose last column repeats its first, so every x,
+y or z slice is contiguous and the edges, the chords between neighbors and
+their successors are slices of two subtractions. Only the batched
+projection copies its operands to C order, to stay on one BLAS path. The
+minimum projection is taken per normal over the edges first, so the
+degenerate normals are masked in a (rows, d+1) array instead of the full
+projection.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from .mesh import (MeshTopology, TriangleMesh, _cross3, _movable,
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
 
-_BLOCK = 4096          # rows per kernel call; blocks are what threads share
+_BLOCK = 4096          # rows per degree-6 kernel call; blocks are what threads share
 
 
 @dataclass
@@ -116,37 +124,50 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     a fixed-length axis, so a row's result does not depend on which other
     rows share the block.
     """
-    vi = np.take(snapshot.T, rows, axis=1).T
-    ring_pos = np.take(snapshot.T, rings.T, axis=1).T
-    edges = ring_pos - vi[:, None, :]
+    d = rings.shape[1]
+    wrapped = np.empty((d + 2, len(rows)), dtype=rings.dtype)
+    wrapped[0], wrapped[1:-1], wrapped[-1] = rings[:, -1], rings.T, rings[:, 0]
+    vi = np.take(snapshot.T, rows, axis=1)
+    ring = np.take(snapshot.T, wrapped, axis=1)
+    spokes = (ring[:, 1:] - vi[:, None]).T      # edges 0..d-1, then edge 0
+    chords = (ring[:, 1:] - ring[:, :-1]).T     # ring[k] - ring[k-1], k = 0..d
+    edges = spokes[:, :-1]
 
-    direction, has_dir = _unit(_ring_sum(edges) / rings.shape[1], dir_tol)
+    direction, has_dir = _unit(_ring_sum(edges) / d, dir_tol)
 
-    candidates = np.empty((3, rings.shape[1] + 1, len(rows))).T
-    candidates[:, 0] = 0.5 * _ring_sum(_cross3(edges, np.roll(edges, -1, axis=1)))
-    chain = ring_pos - np.roll(ring_pos, 1, axis=1)
-    _cross3(chain, np.roll(chain, -1, axis=1), out=candidates[:, 1:])
+    candidates = np.empty((3, d + 1, len(rows))).T
+    candidates[:, 0] = 0.5 * _ring_sum(_cross3(edges, spokes[:, 1:]))
+    _cross3(chords[:, :-1], chords[:, 1:], out=candidates[:, 1:])
     normals, ok = _unit(candidates, normal_tol)
 
-    proj = np.abs(np.ascontiguousarray(normals)
-                  @ np.ascontiguousarray(edges.transpose(0, 2, 1)))
-    proj[~ok] = np.inf
-    dist = proj.min(axis=(1, 2))
+    proj = (np.ascontiguousarray(normals)
+            @ np.ascontiguousarray(edges.transpose(0, 2, 1)))
+    np.abs(proj, out=proj)
+    least = np.minimum(proj[..., 0], proj[..., -1])  # per normal, over edges
+    for k in range(1, d - 1):
+        np.minimum(least, proj[..., k], out=least)
+    least[~ok] = np.inf
+    dist = np.minimum(least[:, 0], least[:, -1])
+    for k in range(1, d):
+        np.minimum(dist, least[:, k], out=dist)
 
     amplitude = np.where(has_dir & np.isfinite(dist), dist, 0.0)
-    return vi + amplitude[:, None] * direction
+    return vi.T + amplitude[:, None] * direction
 
 
 def _run_group(positions, snapshot, group, dir_tol, normal_tol, pool):
     rows, rings = group
     out = np.empty((len(rows), 3))
+    d = rings.shape[1]
+    # proj holds rows * (d+1) * d entries: at most a degree-6 block's 7 * 6
+    block = min(_BLOCK, max(1, _BLOCK * 42 // ((d + 1) * d)))
 
     def work(lo):
-        hi = lo + _BLOCK
+        hi = lo + block
         out[lo:hi] = _kernel(snapshot, rows[lo:hi], rings[lo:hi],
                              dir_tol, normal_tol)
 
-    starts = range(0, len(rows), _BLOCK)
+    starts = range(0, len(rows), block)
     list(pool.map(work, starts) if pool and len(starts) > 1 else map(work, starts))
     positions[rows] = out
 

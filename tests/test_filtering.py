@@ -540,3 +540,34 @@ def test_step_jacobi_single_domain_from_fortran_positions():
     assert np.abs(out - expect).max() < 1e-12
     c_order = gcf_step(mesh.vertices, topo, col, edge_scale=el)
     assert np.array_equal(out.view(np.uint64), c_order.view(np.uint64))
+
+
+def test_kernel_blocks_bounded_by_projection_size(monkeypatch):
+    # 200 disjoint cone(64, 1) copies: 400 rows of degree 64, whose
+    # (rows, 65, 64) projection must stay within a 4096-row degree-6 block's
+    cone = g.cone(64, 1)
+    copies = 200
+    mesh = _noisy(TriangleMesh(
+        np.concatenate([cone.vertices + (3.0 * k, 0.0, 0.0) for k in range(copies)]),
+        np.concatenate([cone.faces + k * cone.vertex_count for k in range(copies)]),
+    ), 6)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    kernel = g.filtering._kernel
+    calls = []
+
+    def bounded(snapshot, rows, rings, *tols):
+        d = rings.shape[1]
+        assert len(rows) * (d + 1) * d <= 42 * g.filtering._BLOCK
+        calls.append((d, len(rows)))
+        return kernel(snapshot, rows, rings, *tols)
+
+    monkeypatch.setattr(g.filtering, "_kernel", bounded)
+    outs = [gcf_filter(mesh, topo, col,
+                       FilterConfig(iterations=2, threads=t))[0].vertices
+            for t in (1, 2)]
+    assert np.array_equal(outs[0].view(np.uint64), outs[1].view(np.uint64))
+    assert not np.array_equal(outs[0], mesh.vertices)
+    wide = [rows for d, rows in calls if d == 64]
+    assert max(wide) == 42 * g.filtering._BLOCK // (65 * 64)
+    assert sum(wide) == 2 * 2 * 2 * copies  # two iterations, two thread counts
