@@ -15,8 +15,8 @@ walk, and fans it cannot order are flagged non-manifold with a sorted ring.
 
 The row helpers at the end (`_cross3`, `_dot`, `_norm`, `_unit`, `_angle`,
 `_scatter`) are the one copy of each vector operation that the curvature,
-metrics, filter and baseline modules share. Rows of an (n, 3) array are
-gathered with `np.take`, never with fancy indexing such as
+metrics, filter and baseline modules share. These layers gather rows of an
+(n, 3) array by index with `np.take`, not with fancy indexing such as
 `positions[edges[:, 0]]`: numpy copies each fancy-indexed 24-byte row through
 its general index iterator, which takes two to five times as long.
 """
