@@ -164,7 +164,11 @@ def cmd_curvature(args, run):
     out = args.output.lower()
     if not out.endswith((".csv", ".ply")):
         raise FormatCapabilityError("curvature export requires .csv or .ply")
-    field = gaussian_curvature(run.mesh, run.topology)
+    with np.errstate(over="ignore"):  # reported below, not as a warning
+        field = gaussian_curvature(run.mesh, run.topology)
+    if not np.isfinite(field.ring_area).all():
+        raise DegenerateMeshError("ring area overflows to inf "
+                                  "(are the coordinates too large to square?)")
     if out.endswith(".csv"):
         _write_csv(args.output, "vertexIndex,K", field.curvature)
     else:

@@ -35,6 +35,13 @@ projection copies its operands to C order, to stay on one BLAS path. The
 minimum projection is taken per normal over the edges first, so the
 degenerate normals are masked in a (rows, d+1) array instead of the full
 projection.
+
+Ring sums and minima run one numpy call per ring slice while the ring
+axis has at most _LONG_RING entries, which beats a reduction's short inner
+loop per row on the big blocks of low-degree vertices. A longer ring axis
+is reduced in one call, so the reductions of a degree-320 cap centre take
+six numpy calls instead of about 1,300. Both forms add in ring order and
+take exact minima, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
 
 _BLOCK = 4096          # rows per degree-6 kernel call; blocks are what threads share
+_LONG_RING = 40        # a ring axis longer than this is reduced in one numpy call
 
 
 @dataclass
@@ -106,10 +114,29 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
 def _ring_sum(v):
     """v.sum(axis=1) of a (rows, degree, ...) block, bitwise: numpy adds the
     ring axis in order from +0.0 and so does this loop, one whole slice per
-    step instead of ufunc.reduce's short inner loop per row."""
+    step instead of ufunc.reduce's short inner loop per row. A long ring is
+    one in-order accumulate from its first term instead; adding +0.0 turns
+    a sum of -0.0 terms into the +0.0 that a sum from +0.0 gives."""
+    if v.shape[1] > _LONG_RING:
+        out = np.add.accumulate(v, axis=1)[:, -1]
+        out += 0.0
+        return out
     out = np.zeros_like(v[:, 0])
     for k in range(v.shape[1]):
         out += v[:, k]
+    return out
+
+
+def _ring_min(v):
+    """v.min(axis=-1): one call along a long last axis, one np.minimum per
+    slice along a short one, where the slices are faster than a
+    reduction's short inner loop per row. Both are exact, so they agree
+    bitwise."""
+    if v.shape[-1] > _LONG_RING:
+        return v.min(axis=-1)
+    out = np.minimum(v[..., 0], v[..., -1])
+    for k in range(1, v.shape[-1] - 1):
+        np.minimum(out, v[..., k], out=out)
     return out
 
 
@@ -143,13 +170,9 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     proj = (np.ascontiguousarray(normals)
             @ np.ascontiguousarray(edges.transpose(0, 2, 1)))
     np.abs(proj, out=proj)
-    least = np.minimum(proj[..., 0], proj[..., -1])  # per normal, over edges
-    for k in range(1, d - 1):
-        np.minimum(least, proj[..., k], out=least)
+    least = _ring_min(proj)  # per normal, over edges
     least[~ok] = np.inf
-    dist = np.minimum(least[:, 0], least[:, -1])
-    for k in range(1, d):
-        np.minimum(dist, least[:, k], out=dist)
+    dist = _ring_min(least)
 
     amplitude = np.where(has_dir & np.isfinite(dist), dist, 0.0)
     return vi.T + amplitude[:, None] * direction

@@ -466,3 +466,14 @@ def test_filter_overflowing_edge_scale_exit_code(tmp_path, capsys):
                    "--iters", "1") == 3
     assert "coordinates too large" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".ply"])
+def test_curvature_overflowing_ring_area_exit_code(tmp_path, capsys, suffix):
+    out = tmp_path / f"k{suffix}"
+    assert run("curvature", "-i", _huge_obj(tmp_path), "-o", out, "-v") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: ring area overflows to inf "
+                            "(are the coordinates too large to square?)\n")
+    assert not out.exists()

@@ -571,3 +571,56 @@ def test_kernel_blocks_bounded_by_projection_size(monkeypatch):
     wide = [rows for d, rows in calls if d == 64]
     assert max(wide) == 42 * g.filtering._BLOCK // (65 * 64)
     assert sum(wide) == 2 * 2 * 2 * copies  # two iterations, two thread counts
+
+
+_CUT = g.filtering._LONG_RING
+
+
+def _negative_zero_fan(degree):
+    # planar fan whose centre has z = +0.0 and whose ring has z = -0.0, so
+    # every edge's z is -0.0 and the ring sums over z add only -0.0 terms
+    theta = np.arange(degree) * (2.0 * np.pi / degree)
+    ring = np.column_stack([np.cos(theta), np.sin(theta), np.full(degree, -0.0)])
+    return _closed_fan([0.1, 0.05, 0.0], ring)
+
+
+@pytest.mark.parametrize("mesh,degree", [
+    (_noisy(g.cylinder(320, 3), 7), 320), (_noisy(g.cone(600, 4), 8), 600),
+    (_noisy(g.cone(_CUT - 1, 3), 9), _CUT - 1), (_noisy(g.cone(_CUT, 3), 10), _CUT),
+    (_noisy(g.cone(_CUT + 1, 3), 11), _CUT + 1), (_negative_zero_fan(64), 64),
+], ids=["cylinder-320", "cone-600", "cone-below-cut", "cone-at-cut",
+        "cone-above-cut", "negative-zero-fan"])
+def test_kernel_bitwise_on_long_rings(mesh, degree):
+    assert max(_assert_kernel_matches_reference(mesh)) == degree
+
+
+def _ring_values(rng, case, shape):
+    if case == "negative-zero":
+        return np.full(shape, -0.0)
+    if case == "signed-units":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], shape)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+
+
+@pytest.mark.parametrize("d", [_CUT - 1, _CUT, _CUT + 1, 64, 320])
+@pytest.mark.parametrize("case", ["negative-zero", "signed-units", "wide"])
+def test_ring_reductions_equal_slice_loops(d, case):
+    # both branches of _ring_sum and _ring_min against the slice loops of
+    # the short branch: an in-order sum from +0.0 and a fold of np.minimum
+    rng = np.random.default_rng(d)
+    v = np.empty((3, d, 5)).T  # component-major (rows, d, 3), as in the kernel
+    v[...] = _ring_values(rng, case, v.shape)
+    want = np.zeros_like(v[:, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(d):
+            want += v[:, k]
+        got = g.filtering._ring_sum(v)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # projections are absolute values, so no -0.0 meets +0.0 in a minimum
+    proj = np.abs(_ring_values(rng, case, (5, d + 1, d)))
+    for block in (proj, proj[:, :, 0]):  # the kernel's (rows, d+1, d), (rows, d+1)
+        want = block[..., 0].copy()
+        for k in range(1, block.shape[-1]):
+            np.minimum(want, block[..., k], out=want)
+        got = g.filtering._ring_min(block)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
