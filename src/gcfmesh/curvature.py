@@ -18,10 +18,11 @@ vectors whose length is >= its cutoff, so the strict vertex-normal cutoff
 next float above that threshold.
 
 Corners are gathered with `np.take`, because fancy indexing is numpy's slow
-path for rows. The curvature field takes all three corners at once in
-component-major (3, 3, faces) storage, so each x, y or z slice it reads is
-contiguous; `face_normals` takes one corner at a time, so the arrays it
-returns stay C-ordered.
+path for rows, and one corner at a time, so no temporary is larger than the
+mesh's (3f,) index arrays. The curvature field stores each corner
+component-major, (3, faces), so each x, y or z slice it reads is
+contiguous; `face_normals` keeps its corners C-ordered, like the arrays it
+returns.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     n = len(positions)
     deficit = np.full(n, 2.0 * np.pi)
     ring_area = np.zeros(n)
-    p = np.take(positions.T, faces.T, axis=1).T  # (f, corner, xyz) view
+    # corner c as an (f, 3) view of component-major (3, f) storage
+    p = [np.take(positions.T, faces[:, c], axis=1).T for c in range(3)]
     # edge c runs from corner c to corner c + 1, so corner c spans edge c
     # and the reversed edge c - 1
-    e = [p[:, (c + 1) % 3] - p[:, c] for c in range(3)]
+    e = [p[(c + 1) % 3] - p[c] for c in range(3)]
     sines = _norm(_cross3(e[0], e[2]))
     areas = 0.5 * sines
     for c in range(3):

@@ -3,15 +3,16 @@
 The mesh is stored as a flat (n, 3) float64 vertex array plus an (f, 3)
 int32 face-index array; the winding of each face is kept exactly as given.
 
-Topology comes from one table of the 3f corner half-edges (center, start,
-end) sorted by the int64 key center*n + start; each half-edge's
-successor around its center starts where it ends and is found with
-searchsorted. Fans in which every ring vertex starts and ends at most one
-half-edge, with at most one open head, are walked in lockstep: closed fans
-from their smallest start, open fans (boundary vertices) from their head.
-The rest (inconsistent winding, three faces on one edge, several sheets at
-one vertex, chains or cycles that stop short) go to a winding-agnostic
-walk, and fans it cannot order are flagged non-manifold with a sorted ring.
+Topology comes from the 3f corner half-edges (center, start, end), sorted
+by the int64 key center*n + start, and one lockstep fan walk, `_walk`, in
+two passes. Pass 1 is directed: a half-edge's successor starts where it
+ends; closed fans start at their smallest start, open fans (boundary
+vertices) at their head. Pass 2 is winding-agnostic: the fans pass 1 left
+enter a second table with each ring edge in both directions, and a
+successor leaves the vertex where its half-edge ends without turning
+straight back. A fan that neither pass orders (a ring edge twice, a ring
+vertex on three ring edges, several sheets) is flagged non-manifold, with
+its sorted neighbor set as the ring.
 
 The row helpers at the end (`_cross3`, `_dot`, `_norm`, `_unit`, `_angle`,
 `_scatter`) are the one copy of each vector operation that the curvature,
@@ -29,7 +30,8 @@ from functools import cached_property, partial, wraps
 
 import numpy as np
 
-from .errors import EmptyMeshError, FaceIndexError, NonFiniteError
+from .errors import (DegenerateMeshError, EmptyMeshError, FaceIndexError,
+                     NonFiniteError)
 
 try:  # glibc only: malloc_trim hands freed heap pages back to the OS
     _trim_heap = partial(ctypes.CDLL(None).malloc_trim, 0)
@@ -147,46 +149,24 @@ class MeshTopology:
         return len(self.is_boundary)
 
 
-def _try_undirected_walk(starts, ends):
-    """Winding-agnostic fan walk; None unless the fan is a single chain or cycle."""
-    m = len(starts)
-    adj = {}
-    unwalked = set()
-    for u, w in zip(starts, ends):
-        key = (u, w) if u < w else (w, u)
-        if key in unwalked:
-            return None  # two faces over the same ring edge
-        unwalked.add(key)
-        adj.setdefault(u, []).append(w)
-        adj.setdefault(w, []).append(u)
-    if any(len(nbrs) > 2 for nbrs in adj.values()):
-        return None
-    loose = sorted(node for node, nbrs in adj.items() if len(nbrs) == 1)
-    if len(loose) not in (0, 2):
-        return None
-    boundary = bool(loose)
-    start = loose[0] if boundary else min(adj)
-    ring = [start]
-    prev = None
-    node = start
-    for _ in range(m):
-        nbrs = adj[node]
-        if prev is None and not boundary:
-            nxt = min(nbrs)
-        else:
-            cand = [x for x in nbrs if x != prev]
-            if not cand:
-                return None
-            nxt = cand[0]
-        key = (node, nxt) if node < nxt else (nxt, node)
-        unwalked.remove(key)
-        prev, node = node, nxt
-        if not boundary and node == start:
-            break
-        ring.append(node)
-    if unwalked:
-        return None
-    return ring, boundary
+def _walk(done, first, nxt, counts, indptr, walk):
+    """Follow `nxt` from first[i] for counts[i] half-edges around every fan i
+    flagged in `done`, in lockstep, writing the k-th to walk[indptr[i] + k];
+    a fan whose chain stops short or whose cycle closes early is unflagged."""
+    fans = np.flatnonzero(done)
+    cur = first[fans]
+    k = 0
+    while len(fans):
+        walk[indptr[fans] + k] = cur
+        k += 1
+        more = counts[fans] > k
+        fans = fans[more]
+        cur = nxt[cur[more]]
+        ok = (cur >= 0) & (cur != first[fans])
+        done[fans[~ok]] = False
+        fans = fans[ok]
+        cur = cur[ok]
+    return done
 
 
 @_releases_memory
@@ -208,65 +188,76 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     counts = np.bincount(center, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
+    walk = np.empty(len(key), dtype=np.int64)
 
-    # next half-edge around the same center: the one starting where this ends
+    # pass 1, directed: a half-edge's successor starts where it ends
     want = center * n + end
     nxt = np.minimum(np.searchsorted(key, want), len(key) - 1)
     nxt[key[nxt] != want] = -1
     incoming = np.bincount(nxt[nxt >= 0], minlength=len(key))
-    tails = np.bincount(center[nxt < 0], minlength=n)
     simple = counts > 0
     simple[center[1:][key[1:] == key[:-1]]] = False  # a ring vertex starts twice
     simple[center[incoming > 1]] = False             # ... or ends twice
     first = indptr[:-1].copy()
     heads = np.flatnonzero(incoming == 0)
     first[center[heads]] = heads
+    manifold = _walk(simple, first, nxt, counts, indptr, walk)
 
-    # walk every simple fan in lockstep; walk[indptr[i] + k] is the k-th
-    # half-edge of fan i, and fans whose chain or cycle is short drop out
-    walk = np.empty(len(key), dtype=np.int64)
-    fans = np.flatnonzero(simple)
-    cur = first[fans]
-    k = 0
-    while len(fans):
-        walk[indptr[fans] + k] = cur
-        k += 1
-        more = counts[fans] > k
-        fans = fans[more]
-        cur = nxt[cur[more]]
-        ok = (cur >= 0) & (cur != first[fans])
-        simple[fans[~ok]] = False
-        fans = fans[ok]
-        cur = cur[ok]
+    # pass 2, winding-agnostic: each ring edge of the fans pass 1 left, in
+    # both directions, sorted by (center, start, end) as rows h, h + 1, ...
+    h = len(key)
+    rows = np.flatnonzero(~manifold[center])
+    key2 = np.concatenate([key[rows], want[rows]])  # center * n + start
+    s2 = np.concatenate([start[rows], end[rows]])
+    e2 = np.concatenate([end[rows], start[rows]])
+    order = np.lexsort((e2, key2))
+    del key, want, rows
+    key2, s2, e2 = key2[order], s2[order], e2[order]
+    del order
+    same = np.diff(key2, prepend=-1, append=-1) == 0  # rows i - 1, i share a start
+    todo = (counts > 0) & ~manifold
+    todo[key2[1:][same[1:-1] & (e2[1:] == e2[:-1])] // n] = False  # edge twice
+    todo[key2[same[:-1] & same[1:]] // n] = False  # a vertex on three edges
+    # a successor leaves the vertex where its half-edge ends: by that
+    # vertex's first row p, or by row p + 1 if p turns straight back
+    p = np.searchsorted(key2, key2 - s2 + e2)
+    nxt = np.concatenate([nxt, np.where(same[1:][p], p + (e2[p] == s2) + h, -1)])
+    # a cycle starts at its smallest vertex toward that vertex's smallest
+    # neighbor, a chain at its smallest loose end
+    left = np.flatnonzero(todo)
+    first[left] = np.searchsorted(key2, left * n) + h
+    loose = np.flatnonzero(~(same[:-1] | same[1:]))
+    loose = loose[np.diff(key2[loose] // n, prepend=-1) != 0]
+    first[key2[loose] // n] = loose + h
+    del p, same
+    start, end = np.concatenate([start, s2]), np.concatenate([end, e2])
+    del s2, e2
+    manifold |= _walk(todo, first, nxt, counts, indptr, walk)
 
-    is_boundary = simple & (tails == 1)
-    is_manifold = simple.copy()
-    ring_sizes = np.where(simple, counts + is_boundary, 0)
-    fallback = {}
-    for i in np.flatnonzero((counts > 0) & ~simple).tolist():
-        lo, hi = indptr[i], indptr[i + 1]
-        su = start[lo:hi].tolist()
-        sw = end[lo:hi].tolist()
-        res = _try_undirected_walk(su, sw)
-        is_manifold[i] = res is not None
-        fallback[i], is_boundary[i] = res or (sorted(set(su) | set(sw)), False)
-        ring_sizes[i] = len(fallback[i])
-
+    # the fans left take their sorted neighbor set
+    rest = np.unique(key2[~manifold[key2 // n]])
+    fans = np.flatnonzero(manifold)
+    last = walk[indptr[fans + 1] - 1]
+    chain = nxt[last] < 0
+    is_boundary = np.zeros(n, dtype=bool)
+    is_boundary[fans[chain]] = True
+    ring_sizes = np.where(manifold, counts + is_boundary,
+                          np.bincount(rest // n, minlength=n))
     ring_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(ring_sizes, out=ring_indptr[1:])
     ring_flat = np.empty(ring_indptr[-1], dtype=np.int32)
-    slots = np.flatnonzero(simple[center])
-    ring_flat[slots + (ring_indptr - indptr)[center[slots]]] = start[walk[slots]]
-    tail_of = np.flatnonzero(is_boundary & simple)
-    ring_flat[ring_indptr[tail_of + 1] - 1] = end[walk[indptr[tail_of + 1] - 1]]
-    for i, ring in fallback.items():
-        ring_flat[ring_indptr[i]:ring_indptr[i + 1]] = ring
+    walked = np.repeat(manifold, ring_sizes)
+    ring_flat[~walked] = rest % n
+    tails = ring_indptr[fans[chain] + 1] - 1
+    ring_flat[tails] = end[last[chain]]
+    walked[tails] = False
+    ring_flat[walked] = start[walk[manifold[center]]]
     return MeshTopology(
         faces=faces,
         ring_flat=ring_flat,
         ring_indptr=ring_indptr,
         is_boundary=is_boundary,
-        is_manifold_fan=is_manifold,
+        is_manifold_fan=manifold,
     )
 
 
@@ -292,14 +283,23 @@ def unique_edges(faces: np.ndarray, return_counts: bool = False):
 
 
 def _mean_length(positions, edges):
+    """Mean edge length, gathered one coordinate at a time and summed in
+    `_dot`'s order (bitwise `_norm`); DegenerateMeshError on overflow."""
     if len(edges) == 0:
         raise EmptyMeshError("mesh has no faces")
-    return float(_norm(np.take(positions, edges[:, 0], axis=0)
-                       - np.take(positions, edges[:, 1], axis=0)).mean())
+    with np.errstate(over="ignore"):  # reported below, not as a warning
+        mean = float(np.sqrt(sum(  # 0 + x*x + y*y + z*z, as _dot adds
+            (np.take(column, edges[:, 0]) - np.take(column, edges[:, 1])) ** 2
+            for column in np.ascontiguousarray(positions.T))).mean())
+    if not np.isfinite(mean):
+        raise DegenerateMeshError("mean edge length overflows to inf "
+                                  "(are the coordinates too large to square?)")
+    return mean
 
 
 def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
-    """Mean length over unique undirected edges; EmptyMeshError without faces."""
+    """Mean length over unique undirected edges; EmptyMeshError without
+    faces, DegenerateMeshError if the mean overflows."""
     return _mean_length(positions, unique_edges(faces))
 
 

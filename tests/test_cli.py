@@ -477,3 +477,21 @@ def test_curvature_overflowing_ring_area_exit_code(tmp_path, capsys, suffix):
     assert captured.err == ("error: ring area overflows to inf "
                             "(are the coordinates too large to square?)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [("stats",), ("noise", "-o", "n.obj"),
+                                  ("filter", "-o", "f.obj", "--iters", "1")])
+def test_overflowing_mesh_named_without_warning(tmp_path, argv):
+    """In a fresh interpreter with default warning filters, stderr holds the
+    one error line naming the overflow, and no output is written."""
+    src = os.path.dirname(os.path.dirname(g.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-m", "gcfmesh.cli", argv[0], "-i", str(_huge_obj(tmp_path)),
+         *argv[1:]], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == ("error: mean edge length overflows to inf "
+                           "(are the coordinates too large to square?)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.obj"]

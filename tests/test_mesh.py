@@ -182,6 +182,29 @@ def test_mesh_stats_empty():
         mesh_stats(TriangleMesh(np.zeros((3, 3)), np.zeros((0, 3))))
 
 
+OVERFLOW = ("mean edge length overflows to inf "
+            "(are the coordinates too large to square?)")
+
+
+def test_overflowing_edge_length_raises_without_warning():
+    """Every caller of the mean edge length names the overflow as a
+    DegenerateMeshError; a RuntimeWarning would fail this test."""
+    from gcfmesh.errors import DegenerateMeshError
+
+    mesh = TriangleMesh([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1e300, 0.0)],
+                        [(0, 1, 2)])
+    topo = build_topology(mesh)
+    calls = (lambda: g.mean_edge_length(mesh.vertices, mesh.faces),
+             lambda: mesh_stats(mesh),
+             lambda: g.add_noise(mesh, topo, g.NoiseConfig(0.1)),
+             lambda: g.gcf_filter(mesh, topo, g.greedy_domain_decomposition(topo),
+                                  g.FilterConfig(iterations=1)))
+    for call in calls:
+        with pytest.raises(DegenerateMeshError) as info:
+            call()
+        assert str(info.value) == OVERFLOW
+
+
 # finite doubles with signed zeros, subnormals, and magnitudes near 1e+-150
 # whose squares sit next to the overflow and underflow limits
 _VALUES = st.one_of(

@@ -112,6 +112,46 @@ def test_delaunay_patches_match_walker(seed, n, flip, delete):
     assert_matches_walker(TriangleMesh(verts, faces))
 
 
+def _walker_with_repeats_sorted(mesh):
+    """The walker's arrays after the table's one documented difference:
+    where the walker's ring repeats a vertex (an edge at the center has
+    three faces), the table gives the sorted neighbor set, non-manifold and
+    not boundary."""
+    ring_flat, ring_indptr, _, _, is_boundary, is_manifold = reference_topology(mesh)
+    rings = []
+    for i in range(mesh.vertex_count):
+        ring = ring_flat[ring_indptr[i]:ring_indptr[i + 1]].tolist()
+        if len(set(ring)) < len(ring):
+            ring, is_boundary[i], is_manifold[i] = sorted(set(ring)), False, False
+        rings.append(ring)
+    sizes = np.array([0] + [len(r) for r in rings], dtype=np.int64)
+    return (np.array(sum(rings, []), dtype=ring_flat.dtype), np.cumsum(sizes),
+            is_boundary, is_manifold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_face_soups_match_walker(data):
+    """Random face soups, with duplicated, reversed and flipped faces, so
+    that three or more faces often meet on one edge."""
+    n = data.draw(st.integers(3, 14))
+    face = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    faces = data.draw(st.lists(face, min_size=1, max_size=25))
+    copies = data.draw(st.lists(
+        st.tuples(st.integers(0, len(faces) - 1), st.booleans()), max_size=25))
+    faces += [faces[i][::-1] if reverse else faces[i] for i, reverse in copies]
+    flips = data.draw(st.lists(st.booleans(), min_size=len(faces),
+                               max_size=len(faces)))
+    faces = [f[::-1] if flip else f for f, flip in zip(faces, flips)]
+    mesh = TriangleMesh(np.zeros((n, 3)), faces)
+    topo = build_topology(mesh)
+    want = _walker_with_repeats_sorted(mesh)
+    for name, expected in zip(FIELDS, want):
+        got = getattr(topo, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
 # Fans whose ring repeats a vertex: an edge at the center has three faces.
 # The directed walker accepted them as open manifold fans; the table flags
 # them non-manifold with a sorted ring. The center is frozen either way.
