@@ -11,23 +11,25 @@ normal is perpendicular to a ring edge the projection minimum is zero and
 the vertex stays put, which is what preserves creases, corners, and
 developable regions.
 
-Vertices are swept domain by domain in ascending color order: positions
-are updated in place between domains (Gauss-Seidel across domains) while
-all vertices of one domain read the positions as they stood when that
-domain's pass began (Jacobi within a domain). Boundary and non-manifold
+Vertices are swept domain by domain in ascending color order, in place on
+one column-major working copy of the positions. Positions change between
+domains (Gauss-Seidel across domains), while every vertex of a domain reads
+them as they stood when the domain's pass began (Jacobi within a domain):
+a pass runs the kernel on all of the domain's blocks, which are cut once
+before the first sweep, and writes their rows back only after the last
+block has returned, so no snapshot is taken. Boundary and non-manifold
 vertices are never moved.
 
 Degeneracy cutoffs are relative to the input mesh's mean edge length e:
 a differential coordinate shorter than 1e-14*e yields no direction, and
 normal candidates with magnitude below 1e-14*e^2 are dropped.
 
-The sweep runs one dense (rows x degree) kernel per block of a (domain,
-degree) group, so per-row arithmetic has a fixed internal order and the
-output is bitwise independent of the worker count. A block has at most
-_BLOCK rows, and fewer above degree 6: its (rows, d+1, d) projection holds
-no more entries than a _BLOCK-row degree-6 block's, or one row's if that is
-more. Blocks are gathered from a Fortran-ordered snapshot into
-component-major (3, d+2, rows) storage whose first column repeats the
+A block holds rows of one ring size d, at most _BLOCK and fewer above
+degree 6: its (rows, d+1, d) projection holds no more entries than a
+_BLOCK-row degree-6 block's, or one row's if that is more. Per-row
+arithmetic has a fixed internal order, so the output is bitwise
+independent of the worker count and of the cut. The kernel gathers a block
+into component-major (3, d+2, rows) storage whose first column repeats the
 ring's last neighbor and whose last column repeats its first, so every x,
 y or z slice is contiguous and the edges, the chords between neighbors and
 their successors are slices of two subtractions. Only the batched
@@ -55,8 +57,8 @@ import numpy as np
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .errors import DegenerateMeshError
-from .mesh import (MeshTopology, TriangleMesh, _cross3, _movable,
-                   _releases_memory, _unit, mean_edge_length)
+from .mesh import (MeshTopology, TriangleMesh, _check_finite, _cross3,
+                   _movable, _releases_memory, _unit, mean_edge_length)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -90,15 +92,15 @@ class FilterTrace:
 
 
 def _build_plan(topology: MeshTopology, coloring: DomainColoring):
-    """Group each domain's movable vertices by ring size and pre-gather the
-    dense ring index blocks the kernel consumes: one (rows, rings) pair per
-    (domain, degree) group."""
+    """Cut each domain's movable vertices into the dense ring index blocks
+    the kernel consumes: per domain, a list of (rows, rings) pairs, each of
+    one ring size."""
     movable = _movable(topology)
     plan = []
     for domain in coloring.domains:
         domain = np.asarray(domain)
         rows_all = domain[movable[domain]]
-        groups = []
+        blocks = []
         sizes = topology.ring_sizes[rows_all]
         for d in np.unique(sizes):
             rows = rows_all[sizes == d]
@@ -106,8 +108,11 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
             rings = topology.ring_flat[
                 topology.ring_indptr[rows][:, None] + cols[None, :]
             ]
-            groups.append((rows, rings))
-        plan.append(groups)
+            # proj holds rows * (d+1) * d entries, at most a degree-6 block's
+            block = min(_BLOCK, max(1, _BLOCK * 42 // ((d + 1) * d)))
+            blocks += [(rows[lo:lo + block], rings[lo:lo + block])
+                       for lo in range(0, len(rows), block)]
+        plan.append(blocks)
     return plan
 
 
@@ -178,32 +183,12 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     return vi.T + amplitude[:, None] * direction
 
 
-def _run_group(positions, snapshot, group, dir_tol, normal_tol, pool):
-    rows, rings = group
-    out = np.empty((len(rows), 3))
-    d = rings.shape[1]
-    # proj holds rows * (d+1) * d entries: at most a degree-6 block's 7 * 6
-    block = min(_BLOCK, max(1, _BLOCK * 42 // ((d + 1) * d)))
-
-    def work(lo):
-        hi = lo + block
-        out[lo:hi] = _kernel(snapshot, rows[lo:hi], rings[lo:hi],
-                             dir_tol, normal_tol)
-
-    starts = range(0, len(rows), block)
-    list(pool.map(work, starts) if pool and len(starts) > 1 else map(work, starts))
-    positions[rows] = out
-
-
-def resolve_threads(threads: int) -> int:
-    return threads if threads > 0 else (os.cpu_count() or 1)
-
-
-@_releases_memory
 def _drive(positions, topology, coloring, edge_scale, threads, iterations,
            capture_trace):
-    """Sweep `positions` in place `iterations` times; each sweep visits
-    every domain in ascending label order.
+    """Sweep the column-major `positions` in place `iterations` times; each
+    sweep visits every domain in ascending label order. A domain's blocks
+    are all computed, on the pool if there is one, before any of their rows
+    is written back, so each reads the positions as the pass found them.
 
     Returns a FilterTrace of the interior curvature energy before the first
     and after every sweep when capture_trace is set, else None.
@@ -214,20 +199,21 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
                  else "are the coordinates too large to square?")
         raise DegenerateMeshError(
             f"edge scale {edge_scale} is not finite and positive ({cause})")
-    dir_tol = DIRECTION_TOL * edge_scale
-    normal_tol = NORMAL_TOL * edge_scale * edge_scale
+    tols = (DIRECTION_TOL * edge_scale, NORMAL_TOL * edge_scale * edge_scale)
     plan = _build_plan(topology, coloring)
-    workers = resolve_threads(threads)
+    workers = threads if threads > 0 else (os.cpu_count() or 1)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     trace = [_interior_energy(positions, topology)] if capture_trace else None
+
+    def work(block):
+        return _kernel(positions, *block, *tols)
+
     try:
         for _ in range(iterations):
-            for groups in plan:
-                if not groups:
-                    continue
-                snapshot = positions.copy(order="F")
-                for group in groups:
-                    _run_group(positions, snapshot, group, dir_tol, normal_tol, pool)
+            for blocks in plan:
+                moved = list((pool.map if pool else map)(work, blocks))
+                for (rows, _), new in zip(blocks, moved):
+                    positions[rows] = new
             if trace is not None:
                 trace.append(_interior_energy(positions, topology))
     finally:
@@ -242,21 +228,25 @@ def _interior_energy(positions, topology):
     )
 
 
+@_releases_memory
 def gcf_step(positions: np.ndarray, topology: MeshTopology,
              coloring: DomainColoring, *, edge_scale: float | None = None,
              threads: int = 1) -> np.ndarray:
     """One filter sweep over all domains; returns new positions.
 
     edge_scale defaults to the mean edge length of the given positions and
-    anchors the degeneracy cutoffs.
+    anchors the degeneracy cutoffs. A NaN or infinite coordinate raises
+    NonFiniteError naming its vertex.
     """
-    positions = np.array(positions, dtype=np.float64)
+    positions = np.array(positions, dtype=np.float64, order="F")
+    _check_finite(positions)
     if edge_scale is None:
         edge_scale = mean_edge_length(positions, topology.faces)
     _drive(positions, topology, coloring, edge_scale, threads, 1, False)
-    return positions
+    return np.ascontiguousarray(positions)
 
 
+@_releases_memory
 def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
                coloring: DomainColoring, config: FilterConfig):
     """Apply the filter config.iterations times.
@@ -266,8 +256,9 @@ def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
     boundary/non-manifold vertices keep their exact input positions.
     Output positions are identical for any worker count.
     """
-    positions = mesh.vertices.copy()
+    positions = np.array(mesh.vertices, order="F")
     trace = _drive(positions, topology, coloring,
-                   mean_edge_length(mesh.vertices, mesh.faces),
+                   mean_edge_length(positions, mesh.faces),
                    config.threads, config.iterations, config.capture_trace)
+    # the trim runs after return: the working copy outlives its C-ordered copy
     return TriangleMesh(positions, mesh.faces.copy()), trace

@@ -53,6 +53,13 @@ def _releases_memory(fn):
     return call
 
 
+def _check_finite(vertices):
+    """NonFiniteError naming the first vertex with a NaN or inf coordinate."""
+    if not np.isfinite(vertices).all():
+        bad = int(np.flatnonzero(~np.isfinite(vertices).all(axis=1))[0])
+        raise NonFiniteError(f"vertex {bad} has a non-finite coordinate")
+
+
 @dataclass(eq=False)
 class TriangleMesh:
     """Vertex positions and triangle connectivity.
@@ -71,9 +78,7 @@ class TriangleMesh:
         self.vertices = np.ascontiguousarray(
             np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         )
-        if not np.isfinite(self.vertices).all():
-            bad = int(np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))[0])
-            raise NonFiniteError(f"vertex {bad} has a non-finite coordinate")
+        _check_finite(self.vertices)
         faces = np.asarray(self.faces).reshape(-1, 3)  # checked before the int32 cast
         if faces.size:
             lo, hi = faces.min(), faces.max()

@@ -624,3 +624,33 @@ def test_ring_reductions_equal_slice_loops(d, case):
             np.minimum(want, block[..., k], out=want)
         got = g.filtering._ring_min(block)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_single_domain_blocks_read_the_pass_start(monkeypatch, threads):
+    # one domain holds adjacent vertices of one degree in many 7-row blocks;
+    # a block written back before the others return would move their rings
+    mesh = _noisy(g.icosphere(2), 12)
+    topo = build_topology(mesh)
+    col = g.single_domain_coloring(mesh.vertex_count)
+    el = mesh_stats(mesh).mean_edge_length
+    want = gcf_step(mesh.vertices, topo, col, edge_scale=el, threads=threads)
+    monkeypatch.setattr(g.filtering, "_BLOCK", 7)
+    assert max(len(b) for b in g.filtering._build_plan(topo, col)) > 10
+    got = gcf_step(mesh.vertices, topo, col, edge_scale=el, threads=threads)
+    expect = reference_step(mesh.vertices, topo, col, el)
+    assert np.abs(got - expect).max() < 1e-12
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("edge_scale", [None, 0.5])
+def test_step_rejects_non_finite_positions(value, edge_scale):
+    mesh = g.icosphere(1)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    positions = mesh.vertices.copy()
+    positions[3, 0] = value
+    with pytest.raises(g.errors.NonFiniteError) as info:
+        gcf_step(positions, topo, col, edge_scale=edge_scale)
+    assert str(info.value) == "vertex 3 has a non-finite coordinate"
