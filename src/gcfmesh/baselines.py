@@ -45,8 +45,8 @@ def taubin_smooth(mesh: TriangleMesh, topology: MeshTopology,
                   mu: float = -0.53) -> TriangleMesh:
     """Alternating lam/mu umbrella passes; mu < -lam gives the classic
     anti-shrinkage behavior, mu = 0 degenerates to plain umbrella smoothing."""
-    if lam <= 0.0:
-        raise ValueError("lam must be > 0")
-    if mu > 0.0:
-        raise ValueError("mu must be <= 0")
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be finite and > 0")
+    if not (np.isfinite(mu) and mu <= 0.0):
+        raise ValueError("mu must be finite and <= 0")
     return _smooth(mesh, topology, iterations, (lam, mu))

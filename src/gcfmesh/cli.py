@@ -25,9 +25,8 @@ from . import __version__
 from .baselines import laplacian_smooth, taubin_smooth
 from .coloring import greedy_domain_decomposition
 from .curvature import gaussian_curvature, gaussian_curvature_energy
-from .errors import (DegenerateMeshError, FaceIndexError,
-                     FormatCapabilityError, MeshError, ParseError,
-                     UnsupportedFormat)
+from .errors import (FaceIndexError, FormatCapabilityError, MeshError,
+                     ParseError, UnsupportedFormat)
 from .filtering import FilterConfig, gcf_filter
 from .generate import generate_mesh
 from .io import _output_format, _write_rows, load_mesh, save_mesh
@@ -98,6 +97,11 @@ def _write_manifest(args, run):
         fh.write("\n")
 
 
+def _print_json(doc):
+    """Print a report as JSON, or raise ValueError on NaN or inf first."""
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
 def _write_csv(path, header, values):
     """Write an `index,value` CSV of a 1-D sequence in full precision."""
     with open(path, "w", newline="\n") as fh:
@@ -127,8 +131,7 @@ def cmd_metrics(args, run):
     doc = dict(vars(report))
     doc["params"] = {"bins": args.bins, "clip_percentile": args.clip,
                      "notes": doc.pop("notes")}
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    _print_json(doc)
 
 
 def cmd_noise(args, run):
@@ -164,11 +167,7 @@ def cmd_curvature(args, run):
     out = args.output.lower()
     if not out.endswith((".csv", ".ply")):
         raise FormatCapabilityError("curvature export requires .csv or .ply")
-    with np.errstate(over="ignore"):  # reported below, not as a warning
-        field = gaussian_curvature(run.mesh, run.topology)
-    if not np.isfinite(field.ring_area).all():
-        raise DegenerateMeshError("ring area overflows to inf "
-                                  "(are the coordinates too large to square?)")
+    field = gaussian_curvature(run.mesh, run.topology)
     if out.endswith(".csv"):
         _write_csv(args.output, "vertexIndex,K", field.curvature)
     else:
@@ -205,13 +204,12 @@ def cmd_bench(args, run):
 
 def cmd_stats(args, run):
     stats = mesh_stats(run.mesh)
-    json.dump({
+    _print_json({
         "vertices": stats.vertex_count,
         "faces": stats.face_count,
         "boundary_vertices": stats.boundary_vertex_count,
         "mean_edge_length": stats.mean_edge_length,
-    }, sys.stdout, indent=2)
-    print()
+    })
 
 
 def _int_list(text):

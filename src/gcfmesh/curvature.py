@@ -17,6 +17,10 @@ vectors whose length is >= its cutoff, so the strict vertex-normal cutoff
 (degenerate at or below 1e-14 times the largest face area) passes it the
 next float above that threshold.
 
+Face and ring areas square a product of two edge lengths, which overflows
+above about 1e77: both are computed without numpy warnings and then raise
+DegenerateMeshError through `mesh._check_overflow` unless finite.
+
 Corners are gathered with `np.take`, because fancy indexing is numpy's slow
 path for rows, and one corner at a time, so no temporary is larger than the
 mesh's (3f,) index arrays. The curvature field stores each corner
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (MeshTopology, TriangleMesh, _cross3, _dot, _norm,
-                   _releases_memory, _scatter, _unit)
+from .mesh import (MeshTopology, TriangleMesh, _check_overflow, _cross3, _dot,
+                   _norm, _releases_memory, _scatter, _unit)
 
 
 @dataclass(eq=False)
@@ -61,8 +65,10 @@ def face_normals(mesh: TriangleMesh):
     v = mesh.vertices
     f = mesh.faces
     p0, p1, p2 = (np.take(v, f[:, c], axis=0) for c in range(3))
-    cross = _cross3(p1 - p0, p2 - p0)
-    double_area = _norm(cross)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        cross = _cross3(p1 - p0, p2 - p0)
+        double_area = _norm(cross)
+    _check_overflow(double_area, "face area")
     ok = double_area > 0
     normals = np.zeros_like(cross)
     np.divide(cross, double_area[:, None], out=normals, where=ok[:, None])
@@ -98,17 +104,18 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     ring_area = np.zeros(n)
     # corner c as an (f, 3) view of component-major (3, f) storage
     p = [np.take(positions.T, faces[:, c], axis=1).T for c in range(3)]
-    # edge c runs from corner c to corner c + 1, so corner c spans edge c
-    # and the reversed edge c - 1
-    e = [p[(c + 1) % 3] - p[c] for c in range(3)]
-    sines = _norm(_cross3(e[0], e[2]))
-    areas = 0.5 * sines
-    for c in range(3):
-        # a . b with b the reversed edge c - 1; 0.0 - x negates exactly and
-        # keeps a zero dot +0.0, so a collapsed corner's angle stays 0
-        angles = np.arctan2(sines, 0.0 - _dot(e[c], e[c - 1]))
-        deficit -= np.bincount(faces[:, c], weights=angles, minlength=n)
-        ring_area += np.bincount(faces[:, c], weights=areas, minlength=n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # edge c runs from corner c to c + 1; corner c spans edges c, c - 1
+        e = [p[(c + 1) % 3] - p[c] for c in range(3)]
+        sines = _norm(_cross3(e[0], e[2]))
+        areas = 0.5 * sines
+        for c in range(3):
+            # a . b with b the reversed edge c - 1; 0.0 - x negates exactly
+            # and keeps a zero dot +0.0, so a collapsed corner's angle stays 0
+            angles = np.arctan2(sines, 0.0 - _dot(e[c], e[c - 1]))
+            deficit -= np.bincount(faces[:, c], weights=angles, minlength=n)
+            ring_area += np.bincount(faces[:, c], weights=areas, minlength=n)
+    _check_overflow(ring_area, "ring area")
     curvature = np.zeros(n)
     np.divide(deficit, ring_area, out=curvature, where=ring_area > 0)
     return CurvatureField(curvature, ring_area, deficit, is_boundary)

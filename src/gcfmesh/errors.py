@@ -62,4 +62,4 @@ class NonFiniteError(MeshError):
 
 
 class DegenerateMeshError(MeshError):
-    """The mean edge length (the filter's edge scale) is zero or not finite."""
+    """The edge scale is 0 or not finite, or a length or area overflows."""

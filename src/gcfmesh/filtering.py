@@ -201,9 +201,9 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
             f"edge scale {edge_scale} is not finite and positive ({cause})")
     tols = (DIRECTION_TOL * edge_scale, NORMAL_TOL * edge_scale * edge_scale)
     plan = _build_plan(topology, coloring)
+    trace = [_interior_energy(positions, topology)] if capture_trace else None
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    trace = [_interior_energy(positions, topology)] if capture_trace else None
 
     def work(block):
         return _kernel(positions, *block, *tols)

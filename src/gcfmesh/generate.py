@@ -1,18 +1,16 @@
 """Procedural ground-truth meshes: icosphere, capped cylinder, capped cone,
 cube, and planar grid.
 
-All closed generators emit consistent outward winding. The cylinder reuses
-one cos/sin table across height levels so that vertices stacked on a
-generatrix share bit-identical x/y coordinates, which keeps axial edges
-exactly axial.
+All closed generators emit consistent outward winding. The cylinder and the
+cone add only their axis vertices and cap fans to the vertex circles and
+bands of `_revolution`. The circles share one cos/sin table, so vertices on
+a cylinder generatrix share bit-identical x/y and axial edges stay axial.
 
 No generator loops over vertices, faces or rings in Python. `grid` and
 `cube` split index lattices into triangle pairs cell by cell with `_quads`;
 `icosphere` (edge midpoints) and `cube` (points shared by sides) number
 shared vertices in order of first use with `_weld`, so both keep the vertex
-and face order of a per-element walk. The cylinder and cone build all bands
-at once with `_band_faces`, which lists each band's triangles block by
-block.
+and face order of a per-element walk.
 """
 
 from __future__ import annotations
@@ -86,45 +84,40 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0) -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def _band_faces(segments, bands):
-    """Two triangles per quad between consecutive vertex rows around the
-    axis, band by band; each band lists its (a, b, c) triangles, then its
-    (a, c, d) triangles."""
+def _revolution(segments, rings, radii, heights):
+    """(circles, bands, i, i1): a circle of `segments` vertices about the z
+    axis per radius and height, bottom up, and the bands between them, each
+    band's (a, b, c) triangles before its (a, c, d) ones; i1 follows i."""
+    if segments < 3:
+        raise BadResolution("segments must be >= 3")
+    if rings < 1:
+        raise BadResolution("rings must be >= 1")
     i = np.arange(segments)
-    lower = segments * np.arange(bands)[:, None]
-    a, b = lower + i, lower + (i + 1) % segments
+    i1 = (i + 1) % segments
+    theta = i * (2.0 * np.pi / segments)
+    circles = np.column_stack([(radii[:, None] * np.cos(theta)).ravel(),
+                               (radii[:, None] * np.sin(theta)).ravel(),
+                               heights.repeat(segments)])
+    lower = segments * np.arange(len(heights) - 1)[:, None]
+    a, b = lower + i, lower + i1
     c, d = b + segments, a + segments
-    return np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)],
-                    axis=1).reshape(-1, 3)
+    bands = np.stack([np.stack([a, b, c], axis=-1), np.stack([a, c, d], axis=-1)],
+                     axis=1).reshape(-1, 3)
+    return circles, bands, i, i1
 
 
 def cylinder(segments: int = 32, rings: int = 16, radius: float = 1.0,
              height: float = 2.0) -> TriangleMesh:
     """Capped right circular cylinder; closed, outward winding."""
-    if segments < 3:
-        raise BadResolution("segments must be >= 3")
-    if rings < 1:
-        raise BadResolution("rings must be >= 1")
-    theta = np.arange(segments) * (2.0 * np.pi / segments)
-    xs = radius * np.cos(theta)
-    ys = radius * np.sin(theta)
-    zs = np.linspace(-height / 2.0, height / 2.0, rings + 1)
-    verts = np.empty((segments * (rings + 1) + 2, 3))
-    verts[:-2, 0] = np.tile(xs, rings + 1)
-    verts[:-2, 1] = np.tile(ys, rings + 1)
-    verts[:-2, 2] = np.repeat(zs, segments)
-    bottom_center = segments * (rings + 1)
-    top_center = bottom_center + 1
-    verts[bottom_center] = (0.0, 0.0, zs[0])
-    verts[top_center] = (0.0, 0.0, zs[-1])
-
-    i = np.arange(segments)
-    i1 = (i + 1) % segments
-    bottom = np.stack([np.full(segments, bottom_center), i1, i], axis=1)
-    top_row = rings * segments
-    top = np.stack([np.full(segments, top_center), top_row + i, top_row + i1], axis=1)
-    return TriangleMesh(verts, np.concatenate([_band_faces(segments, rings),
-                                               bottom, top]))
+    # max(): a negative count fails in linspace before _revolution's check
+    zs = np.linspace(-height / 2.0, height / 2.0, max(rings, 0) + 1)
+    circles, bands, i, i1 = _revolution(segments, rings, np.full(len(zs), radius), zs)
+    n = len(circles)  # the bottom centre; the top centre is n + 1
+    top_row = n - segments
+    verts = np.concatenate([circles, [(0.0, 0.0, zs[0]), (0.0, 0.0, zs[-1])]])
+    bottom = np.stack([np.full(segments, n), i1, i], axis=1)
+    top = np.stack([np.full(segments, n + 1), top_row + i, top_row + i1], axis=1)
+    return TriangleMesh(verts, np.concatenate([bands, bottom, top]))
 
 
 def cone(segments: int = 32, rings: int = 8, radius: float = 1.0,
@@ -134,28 +127,15 @@ def cone(segments: int = 32, rings: int = 8, radius: float = 1.0,
     rings is the number of vertex circles between base rim and apex
     (inclusive of the rim).
     """
-    if segments < 3:
-        raise BadResolution("segments must be >= 3")
-    if rings < 1:
-        raise BadResolution("rings must be >= 1")
-    theta = np.arange(segments) * (2.0 * np.pi / segments)
-    cs, sn = np.cos(theta), np.sin(theta)
     j = np.arange(rings)
-    rj = (radius * (rings - j) / rings)[:, None]
-    zj = -height / 2.0 + j * height / rings
-    verts = np.concatenate([
-        np.column_stack([(rj * cs).ravel(), (rj * sn).ravel(), zj.repeat(segments)]),
-        [[0.0, 0.0, height / 2.0], [0.0, 0.0, -height / 2.0]],
-    ])
-    apex = segments * rings
-    base_center = apex + 1
-    i = np.arange(segments)
-    i1 = (i + 1) % segments
-    top_row = (rings - 1) * segments
+    circles, bands, i, i1 = _revolution(segments, rings, radius * (rings - j) / rings,
+                                        -height / 2.0 + j * height / rings)
+    apex = len(circles)  # the base centre is apex + 1
+    top_row = apex - segments
+    verts = np.concatenate([circles, [[0.0, 0.0, height / 2.0], [0.0, 0.0, -height / 2.0]]])
     tip = np.stack([top_row + i, top_row + i1, np.full(segments, apex)], axis=1)
-    base = np.stack([np.full(segments, base_center), i1, i], axis=1)
-    return TriangleMesh(verts, np.concatenate([_band_faces(segments, rings - 1),
-                                               tip, base]))
+    base = np.stack([np.full(segments, apex + 1), i1, i], axis=1)
+    return TriangleMesh(verts, np.concatenate([bands, tip, base]))
 
 
 # (u axis, v axis, fixed axis, fixed at high end) per face, right-handed so

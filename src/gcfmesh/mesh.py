@@ -60,6 +60,13 @@ def _check_finite(vertices):
         raise NonFiniteError(f"vertex {bad} has a non-finite coordinate")
 
 
+def _check_overflow(values, what):
+    """DegenerateMeshError naming `what` unless every value is finite."""
+    if not np.isfinite(values).all():
+        raise DegenerateMeshError(f"{what} overflows to inf "
+                                  "(are the coordinates too large to square?)")
+
+
 @dataclass(eq=False)
 class TriangleMesh:
     """Vertex positions and triangle connectivity.
@@ -296,9 +303,7 @@ def _mean_length(positions, edges):
         mean = float(np.sqrt(sum(  # 0 + x*x + y*y + z*z, as _dot adds
             (np.take(column, edges[:, 0]) - np.take(column, edges[:, 1])) ** 2
             for column in np.ascontiguousarray(positions.T))).mean())
-    if not np.isfinite(mean):
-        raise DegenerateMeshError("mean edge length overflows to inf "
-                                  "(are the coordinates too large to square?)")
+    _check_overflow(mean, "mean edge length")
     return mean
 
 

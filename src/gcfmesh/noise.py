@@ -26,8 +26,8 @@ class NoiseConfig:
     mode: str = "along_normal"
 
     def __post_init__(self):
-        if self.sigma_factor < 0:
-            raise ValueError("sigma_factor must be >= 0")
+        if not (np.isfinite(self.sigma_factor) and self.sigma_factor >= 0):
+            raise ValueError("sigma_factor must be finite and >= 0")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
