@@ -9,6 +9,7 @@ color class simultaneously.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +36,17 @@ def greedy_domain_decomposition(topology: MeshTopology) -> DomainColoring:
     n = topology.vertex_count
     flat = topology.ring_flat.tolist()
     indptr = topology.ring_indptr.tolist()
-    color = [-1] * n
+    # bit c of used[i] is set once a neighbor of i takes color c; rings are
+    # symmetric, so at its turn used[i] holds its colored neighbors' colors
+    used = [0] * n
+    color = array("i", bytes(4 * n))  # int32, 4 bytes a vertex
     for i in range(n):
-        # uncolored neighbors add -1, which no label c >= 0 matches
-        used = {color[j] for j in flat[indptr[i]:indptr[i + 1]]}
-        c = 0
-        while c in used:
-            c += 1
-        color[i] = c
-    color_of = np.asarray(color, dtype=np.int32)
+        m = used[i]
+        bit = ~m & (m + 1)  # the lowest clear bit
+        color[i] = bit.bit_length() - 1
+        for j in flat[indptr[i]:indptr[i + 1]]:
+            used[j] |= bit
+    color_of = np.frombuffer(color, dtype=np.int32)
     k = int(color_of.max()) + 1 if n else 0
     domains = [np.flatnonzero(color_of == c).astype(np.int32) for c in range(k)]
     return DomainColoring(color_of=color_of, domains=domains)

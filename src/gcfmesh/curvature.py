@@ -18,8 +18,9 @@ vectors whose length is >= its cutoff, so the strict vertex-normal cutoff
 next float above that threshold.
 
 Face and ring areas square a product of two edge lengths, which overflows
-above about 1e77: both are computed without numpy warnings and then raise
-DegenerateMeshError through `mesh._check_overflow` unless finite.
+above about 1e77, and a vertex normal squares a sum of face areas: each is
+computed without numpy warnings and then raises DegenerateMeshError through
+`mesh._check_overflow` unless finite.
 
 Corners are gathered with `np.take`, because fancy indexing is numpy's slow
 path for rows, and one corner at a time, so no temporary is larger than the
@@ -80,12 +81,15 @@ def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
 
     Returns (normals (n,3), degenerate (n,) bool); vertices whose weighted
     sum nearly cancels (magnitude <= 1e-14 * max face area) get a zero
-    normal and the flag.
+    normal and the flag. DegenerateMeshError if a magnitude overflows.
     """
     weighted, areas, _ = face_normals(mesh)
     weighted *= areas[:, None]
     acc = _scatter(mesh.faces.ravel(), weighted, np.arange(len(areas)).repeat(3),
                    mesh.vertex_count)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        magnitude = _norm(acc)
+    _check_overflow(magnitude, "vertex normal")
     max_area = float(areas.max()) if len(areas) else 0.0
     normals, ok = _unit(acc, np.nextafter(1e-14 * max_area, np.inf))
     return normals, ~ok

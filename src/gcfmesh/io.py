@@ -2,14 +2,14 @@
 
 Every reader takes its lines from `_Lines`, which decodes UTF-8 with
 undecodable bytes replaced and skips blank and `#` lines in all three
-formats. A reader only splits lines and routes their tokens into the
-columns of a `_Columns`, which converts each column to a flat typed array
-(float64 coordinates and quality, int64 colors and indices) once per chunk
-of rows; faces become a CSR pair of flat indices and per-row sizes.
-Polygons are fan-triangulated with a warning; triangles that repeat a
-vertex are dropped (also with a warning) so that loaded meshes always
-satisfy the TriangleMesh invariants. A `COFF` file reads as OFF with its
-color columns ignored. Writers emit LF line endings and full double
+formats. A reader routes each row's tokens into the columns of a `_Columns`,
+which converts each column to a flat typed array (float64 coordinates and
+quality, int64 colors and indices) once per chunk of rows; an OBJ chunk of
+only `v x y z` and `f i j k` lines converts from one split. Faces become a
+CSR pair of flat indices and per-row sizes. Polygons are fan-triangulated
+and triangles that repeat a vertex dropped, each with a warning, so loaded
+meshes satisfy the TriangleMesh invariants. A `COFF` file reads as OFF with
+its color columns ignored. Writers emit LF line endings and full double
 precision. Only PLY carries optional per-vertex attributes: a float
 `quality` scalar channel and uchar `red`/`green`/`blue` colors.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from array import array
+from functools import partial
 from itertools import count
 from operator import itemgetter
 from pathlib import Path
@@ -39,7 +40,7 @@ _CHUNK_ROWS = 4096
 
 
 class _Lines:
-    """The lines of an open text file as (text, lineno) pairs in `numbered`.
+    """The lines of an open text file `fh` as (text, lineno) pairs in `numbered`.
 
     A row is a line that is neither blank nor a `#` comment. `lineno` is the
     number of the last line read; a reader that runs out of lines sees empty
@@ -47,8 +48,7 @@ class _Lines:
     """
 
     def __init__(self, fh):
-        self.lineno = 0
-        self.numbered = zip(fh, count(1))
+        self.fh, self.lineno, self.numbered = fh, 0, zip(fh, count(1))
 
     def next_row(self):
         """The tokens of the next row, or [] past the end."""
@@ -88,24 +88,21 @@ class _Columns:
     """The vertex and face rows of one file, held as columns of tokens and
     converted to typed arrays one chunk of at most _CHUNK_ROWS rows at a time.
 
-    `route` only splits lines and routes their tokens: it appends the tokens
-    a row needs (x y z, quality, red green blue; a face's index count and
-    the index tokens after it) to one string list per column, and the row's
-    line to another. `flush` converts each column with one np.array call,
-    which applies Python's own float() or int() to each token, so the values
-    are bitwise those of a per-token parse. A row too short for its columns
-    ends the routing. `flush` raises ParseError on the first bad row of
-    either kind in file order, so the reported line is always the first
-    malformed one in the file.
+    `route` splits lines and appends the tokens a row needs (x y z, quality,
+    red green blue; a face's index count and the indices after it) to one
+    string list per column, and the row's line to another; a row too short
+    for its columns ends the routing. `flush` converts each column with one
+    np.array call, which applies Python's own float() or int() to each token,
+    so the values are bitwise those of a per-token parse, and raises
+    ParseError on the first bad row of either kind in file order. `regular`
+    converts a chunk of OBJ rows from one split once it proves the rows regular.
     """
 
     def __init__(self, path, obj=False):
         """`obj`: OBJ rules for faces: a face's count is the number of tokens
         after `f`, and an index is 1-based, or negative to count back from
         the vertices read so far."""
-        self.path = path
-        self._obj = obj
-        self._width = 0
+        self.path, self._obj, self._width = path, obj, 0
         self._get_xyz = self._get_quality = self._get_rgb = None
         # converted chunks go into buffers that grow in place, so the end
         # of the load makes no second copy of a whole column
@@ -180,6 +177,37 @@ class _Columns:
                 lineno = stop
         lines.lineno = lineno
         self.flush(short)
+
+    def regular(self, text, lines):
+        """Convert `text`, whole OBJ lines after `lines`, from one split and move `lines`
+        past it if it is `v x y z` rows, then `f i j k` rows with indices >= 1. A key
+        on every line, 4 tokens a line, a key every 4th and numbers between align rows."""
+        key, n = text[:2], text.count("\n") + 1
+        if "/" in text or "#" in text or key not in ("v ", "f "):  # cheap checks first
+            return False
+        starts = text.count("\n" + key) + 1  # lines that start with `key`
+        if key == "v " and starts < n:  # vertex rows, then face rows
+            starts += text.count("\nf ")
+        if starts != n:
+            return False
+        tokens = text.split()
+        rows = tokens[::4].count("v")  # vertex rows, which must come first
+        if len(tokens) != 4 * n or tokens[4 * rows::4].count("f") != n - rows:
+            return False
+        del tokens[::4]
+        try:
+            xyz = np.array(tokens[:3 * rows], dtype=np.float64)
+            flat = np.array(tokens[3 * rows:], dtype=np.int64)
+        except (ValueError, OverflowError):
+            return False
+        if (flat <= 0).any():  # 0 is an error, and a negative index counts back
+            return False
+        for out, values in ((self._vertices, xyz), (self._flat, flat - 1),
+                            (self._sizes, np.full(n - rows, 3, dtype=np.int64))):
+            out.frombytes(values.view(np.uint8))
+        self._vertex_total += rows
+        lines.lineno += n
+        return True
 
     def arrays(self):
         """(vertices (n, 3) float64, flat int64, sizes int64, quality float64
@@ -314,10 +342,24 @@ def _fan_triangulate(flat, sizes, path):
     return tris
 
 
+def _whole_lines(fh):
+    """Whole lines of `fh` without their last newline, one piece per read of 8 *
+    _CHUNK_ROWS characters (at most _CHUNK_ROWS `v x y z` rows); last, the rest."""
+    carry = ""
+    for text in iter(partial(fh.read, 8 * _CHUNK_ROWS), ""):
+        whole, newline, carry = (carry + text).rpartition("\n")
+        if newline:
+            yield whole
+    yield carry
+
+
 def _load_obj(lines, columns):
     columns.vertex_layout((1, 2, 3), 4)
     # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are skipped
-    columns.route(lines)
+    for text in _whole_lines(lines.fh):
+        if not columns.regular(text, lines):
+            lines.numbered = zip(text.split("\n"), count(lines.lineno + 1))
+            columns.route(lines)
 
 
 def _load_off(lines, columns):
@@ -366,14 +408,11 @@ def _ply_header(lines, path):
     or 'list'; `lines` is left at `end_header`."""
     if (lines.next_row(), lines.lineno) != (["ply"], 1):
         raise ParseError("missing 'ply' magic", path, 1)
-    elements = []
-    fmt_seen = False
+    elements, fmt_seen = [], False
     while True:
         tokens, lineno = lines.next_row(), lines.lineno
         if not tokens:
             raise ParseError("unexpected end of header", path, lineno)
-        if tokens[0] == "comment":
-            continue
         if tokens[0] == "format":
             if len(tokens) < 2 or tokens[1] != "ascii":
                 raise UnsupportedFormat(f"{path}: only ASCII PLY is supported")
@@ -398,7 +437,7 @@ def _ply_header(lines, path):
             props.append((kind, tokens[-1]))
         elif tokens[0] == "end_header":
             break
-        else:
+        elif tokens[0] != "comment":
             raise ParseError(f"unknown header line {tokens!r}", path, lineno)
     if not fmt_seen:
         raise ParseError("missing format line", path, lineno)
@@ -432,6 +471,7 @@ def load_mesh_attributes(path, fmt: str = "auto"):
         _LOADERS[fmt](_Lines(fh), columns)
     vertices, flat, sizes, quality, colors = columns.arrays()
     faces = _fan_triangulate(flat, sizes, path)
+    del columns, flat, sizes  # free the index counts before the mesh checks
     if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
         raise FaceIndexError(f"{path}: face index out of range 0..{len(vertices) - 1}")
     mesh = TriangleMesh(vertices, faces)

@@ -135,3 +135,46 @@ def test_cli_names_non_finite_parameter(tmp_path, capsys, argv, name):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {name} must be finite")
     assert not out.exists()
+
+
+def _scaled_noisy_sphere(k):
+    """A noisy icosphere(2) scaled by 2**k; at k in [257, 257.5] its face
+    areas are finite but some summed area-weighted normals square to inf."""
+    mesh = g.icosphere(2)
+    mesh = g.add_noise(mesh, g.build_topology(mesh), g.NoiseConfig(0.3, seed=1))
+    return g.TriangleMesh(mesh.vertices * 2.0 ** k, mesh.faces)
+
+
+@pytest.mark.parametrize("k", [257, 257.3])
+def test_vertex_normal_overflow_raises(k):
+    mesh = _scaled_noisy_sphere(k)
+    topo = g.build_topology(mesh)
+    g.face_normals(mesh)  # the face areas alone are finite
+    message = f"vertex normal {TOO_LARGE}"
+    _raises(message, lambda: g.vertex_normals(mesh, topo))
+    _raises(message, lambda: g.add_noise(mesh, topo, g.NoiseConfig(0.1, seed=2)))
+
+
+def test_noise_moves_every_vertex_below_the_vertex_normal_band():
+    mesh = _scaled_noisy_sphere(250)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        normals, degenerate = g.vertex_normals(mesh, g.build_topology(mesh))
+        noisy = g.add_noise(mesh, g.build_topology(mesh), g.NoiseConfig(0.1, seed=2))
+    assert not degenerate.any()
+    assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
+    assert (noisy.vertices != mesh.vertices).any(axis=1).all()
+
+
+@pytest.mark.parametrize("k", [257, 257.3])
+def test_cli_noise_rejects_an_overflowing_vertex_normal(tmp_path, capsys, k):
+    path, out = tmp_path / "big.obj", tmp_path / "n.obj"
+    g.save_mesh(_scaled_noisy_sphere(k), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = main(["noise", "-i", str(path), "-o", str(out), "--seed", "2"])
+    assert status == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: vertex normal {TOO_LARGE}\n"
+    assert not out.exists()

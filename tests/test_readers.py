@@ -327,3 +327,116 @@ def test_ply_skipped_last_element_cut_short_still_loads(tmp_path):
         _SQUARE_FACES + "element extra 5\nproperty double w\n", "3 0 1 2\n3 1 3 2\n1.5\n"))
     assert load_mesh(p).faces.tolist() == [[0, 1, 2], [1, 3, 2]]
     assert _outcome(load_mesh_attributes, p) == _outcome(line_reader.load_mesh_attributes, p)
+
+
+# --- OBJ chunks converted from one split ------------------------------------
+
+_READ = 8 * _CHUNK_ROWS  # characters per read of an OBJ file
+
+
+@functools.cache
+def _regular_obj_files():
+    """(lines, edges) of the OBJ saves of random_meshes(), of strips of
+    4095, 4096 and 4097 rows and of a grid, whose integer coordinates also
+    convert as indices. `edges` are the lines next to a read boundary, to
+    the first face row and to row _CHUNK_ROWS."""
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.obj"
+        strips = [_strip(r, r) for r in (4095, 4096, 4097)]
+        for mesh in random_meshes() + strips + [g.grid(40)]:
+            save_mesh(mesh, path)
+            lines = path.read_text().split("\n")[:-1]
+            starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+            near = [int(np.searchsorted(starts, k * _READ, "right")) - 1
+                    for k in range(1, int(starts[-1]) // _READ + 1)]
+            near += [_CHUNK_ROWS, sum(line.startswith("v ") for line in lines)]
+            edges = sorted({i + d for i in near for d in (-1, 0, 1)
+                            if 0 <= i + d < len(lines)})
+            files.append((lines, edges or [0]))
+    return files
+
+
+_SEPARATORS = ["\t", "  ", "\x1c", "\x0b", "\x0c", "\xa0", " ", "\x85"]
+
+
+@st.composite
+def _irregular_obj(draw):
+    """A regular OBJ save with up to three of: a token moved to the next
+    row, `v` or `f` inserted as a value, an odd separator, a row moved
+    elsewhere (interleaving `v` and `f` rows) and a negative index; then
+    LF or CRLF endings, with or without the final one, and perhaps a
+    leading comment."""
+    lines, edges = draw(st.sampled_from(_regular_obj_files()))
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        i = min(draw(st.sampled_from(edges) | st.integers(0, len(lines) - 1)), len(lines) - 1)
+        tokens = lines[i].split(" ")
+        op = draw(st.sampled_from(["move token", "insert key", "separator",
+                                   "move row", "negative index"]))
+        if op == "move token" and i + 1 < len(lines) and tokens:
+            moved = tokens.pop(draw(st.integers(0, len(tokens) - 1)))
+            after = lines[i + 1].split(" ")
+            after.insert(draw(st.integers(0, len(after))), moved)
+            lines[i + 1] = " ".join(after)
+        elif op == "insert key":
+            tokens.insert(draw(st.integers(1, max(len(tokens), 1))), draw(st.sampled_from("vf")))
+        elif op == "separator" and len(tokens) > 1:
+            j = draw(st.integers(1, len(tokens) - 1))
+            tokens[j - 1:j + 1] = [tokens[j - 1] + draw(st.sampled_from(_SEPARATORS)) + tokens[j]]
+        elif op == "move row":
+            lines.insert(draw(st.integers(0, len(lines))), lines.pop(i))
+            continue
+        elif op == "negative index" and tokens[0] == "f" and len(tokens) > 1:
+            tokens[draw(st.integers(1, len(tokens) - 1))] = str(-draw(st.integers(1, 4)))
+        lines[i] = " ".join(tokens)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return ("# comment" + end if draw(st.booleans()) else "") + text
+
+
+def _same_outcome(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_mesh_attributes, path) == _outcome(
+        line_reader.load_mesh_attributes, path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(text=_irregular_obj())
+def test_obj_chunks_read_as_the_line_reader(tmp_path, text):
+    _same_outcome(tmp_path / "m.obj", text)
+
+
+@pytest.mark.parametrize("text", [
+    "v 1 2 3 f\n5 6 7\n",  # as many tokens as 2 rows, but line 2 has no key
+    "v 1 2 3 v\nv 1 2\nv\n",  # keys every 4th token, but line 2 is short
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 v\nf 1 2\n",
+    "v 0 0 0\nv 1 0 0\nf 1 2 3\nv 3 2 1\n",  # a face before the last vertex
+    "v 0 0 0 1\nv 2 3 1 0 0\nv 0 1 0\n",  # extra values, four tokens a line on average
+    "v 0 0 0 1 2 3 4\nv 1 0 0\nv 0 1 0\nf\nf\n",
+    "v 1 2 3 4 5 6 7\nv 1 1 1\nv 2 2 2\nf 1 2 3\n",  # 4k + 4 tokens, keys on 4k but one
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n",  # 4k - 1 tokens
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\n",
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 0\n",
+])
+def test_misaligned_obj_chunks_read_as_the_line_reader(tmp_path, text):
+    _same_outcome(tmp_path / "m.obj", text)
+
+
+def test_regular_obj_chunks_skip_the_row_router(tmp_path, monkeypatch):
+    """A save is regular in every read, even one that ends mid-row, so no
+    row of it reaches `_Columns.route`."""
+    import gcfmesh.io
+
+    mesh = _strip(3 * _CHUNK_ROWS + 5, 0)
+    path = tmp_path / "strip.obj"
+    save_mesh(mesh, path)
+    routed = []
+    monkeypatch.setattr(gcfmesh.io._Columns, "route", lambda self, lines, *args:
+                        routed.extend(text for text, _ in lines.numbered if text.strip()))
+    loaded = load_mesh(path)
+    assert routed == []
+    assert _bits(loaded.vertices) == _bits(mesh.vertices)
+    assert _bits(loaded.faces) == _bits(mesh.faces)
