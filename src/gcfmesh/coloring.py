@@ -16,6 +16,8 @@ import numpy as np
 
 from .mesh import MeshTopology, _releases_memory
 
+_CHUNK = 4096  # vertices whose rings are converted to Python ints at once
+
 
 @dataclass(eq=False)
 class DomainColoring:
@@ -34,18 +36,20 @@ class DomainColoring:
 def greedy_domain_decomposition(topology: MeshTopology) -> DomainColoring:
     """Color vertices greedily so no edge joins two same-colored vertices."""
     n = topology.vertex_count
-    flat = topology.ring_flat.tolist()
-    indptr = topology.ring_indptr.tolist()
     # bit c of used[i] is set once a neighbor of i takes color c; rings are
     # symmetric, so at its turn used[i] holds its colored neighbors' colors
     used = [0] * n
-    color = array("i", bytes(4 * n))  # int32, 4 bytes a vertex
-    for i in range(n):
-        m = used[i]
-        bit = ~m & (m + 1)  # the lowest clear bit
-        color[i] = bit.bit_length() - 1
-        for j in flat[indptr[i]:indptr[i + 1]]:
-            used[j] |= bit
+    color = array("i", [0]) * n  # int32, 4 bytes a vertex
+    for lo in range(0, n, _CHUNK):  # the rings of one chunk as Python ints
+        rp = topology.ring_indptr[lo:lo + _CHUNK + 1]
+        flat = topology.ring_flat[rp[0]:rp[-1]].tolist()
+        ends = (rp - rp[0]).tolist()
+        for i, a, b in zip(range(lo, n), ends, ends[1:]):
+            m = used[i]
+            bit = ~m & (m + 1)  # the lowest clear bit
+            color[i] = bit.bit_length() - 1
+            for j in flat[a:b]:
+                used[j] |= bit
     color_of = np.frombuffer(color, dtype=np.int32)
     k = int(color_of.max()) + 1 if n else 0
     domains = [np.flatnonzero(color_of == c).astype(np.int32) for c in range(k)]

@@ -23,11 +23,13 @@ computed without numpy warnings and then raises DegenerateMeshError through
 `mesh._check_overflow` unless finite.
 
 Corners are gathered with `np.take`, because fancy indexing is numpy's slow
-path for rows, and one corner at a time, so no temporary is larger than the
-mesh's (3f,) index arrays. The curvature field stores each corner
-component-major, (3, faces), so each x, y or z slice it reads is
-contiguous; `face_normals` keeps its corners C-ordered, like the arrays it
-returns.
+path for rows, one block of faces at a time (`mesh._face_corners`, which
+gathers column-major positions component-major so that each x, y or z
+slice is contiguous). A block writes its elementwise results into
+full-length arrays, and the curvature's bincounts then run over those
+whole arrays. The vertex-normal sums add one block after another with
+`np.add.at`, in face order from +0.0, which is the order and the bits of
+one `np.bincount`. So no result depends on the block size.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (MeshTopology, TriangleMesh, _check_overflow, _cross3, _dot,
-                   _norm, _releases_memory, _scatter, _unit)
+from .mesh import (MeshTopology, TriangleMesh, _blocks, _check_overflow, _cross3,
+                   _dot, _face_corners, _norm, _releases_memory, _unit)
 
 
 @dataclass(eq=False)
@@ -57,23 +59,34 @@ class CurvatureField:
     is_boundary: np.ndarray
 
 
+def _block_normals(corners):
+    """(unit normals, twice the areas) of one block of faces from its corner
+    positions; a face of zero area keeps a zero normal. DegenerateMeshError
+    if an area overflows."""
+    p0, p1, p2 = corners
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        cross = _cross3(p1 - p0, p2 - p0)
+        double_area = _norm(cross)
+    _check_overflow(double_area, "face area")
+    normals = np.zeros_like(cross)
+    np.divide(cross, double_area[:, None], out=normals,
+              where=(double_area > 0)[:, None])
+    return normals, double_area
+
+
 def face_normals(mesh: TriangleMesh):
     """Unit face normals, areas, and a degeneracy flag for zero-area faces.
 
     Returns (normals (f,3), areas (f,), degenerate (f,) bool). Degenerate
     faces keep a zero normal.
     """
-    v = mesh.vertices
-    f = mesh.faces
-    p0, p1, p2 = (np.take(v, f[:, c], axis=0) for c in range(3))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        cross = _cross3(p1 - p0, p2 - p0)
-        double_area = _norm(cross)
-    _check_overflow(double_area, "face area")
-    ok = double_area > 0
-    normals = np.zeros_like(cross)
-    np.divide(cross, double_area[:, None], out=normals, where=ok[:, None])
-    return normals, 0.5 * double_area, ~ok
+    normals = np.empty((mesh.face_count, 3))
+    areas = np.empty(mesh.face_count)
+    for rows, corners in _face_corners(mesh.vertices, mesh.faces):
+        normals[rows], areas[rows] = _block_normals(corners)
+    degenerate = areas == 0
+    areas *= 0.5
+    return normals, areas, degenerate
 
 
 def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
@@ -85,12 +98,18 @@ def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
     """
     weighted, areas, _ = face_normals(mesh)
     weighted *= areas[:, None]
-    acc = _scatter(mesh.faces.ravel(), weighted, np.arange(len(areas)).repeat(3),
-                   mesh.vertex_count)
+    max_area = float(areas.max()) if len(areas) else 0.0
+    # each block of faces adds its weighted normal to its three corners, in
+    # face order and from +0.0, which is the order and the bits of np.bincount
+    acc = np.zeros((mesh.vertex_count, 3))
+    for rows in _blocks(len(areas)):
+        corners = mesh.faces[rows].ravel()
+        for c in range(3):
+            np.add.at(acc[:, c], corners, weighted[rows, c].repeat(3))
+    del weighted, areas
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         magnitude = _norm(acc)
     _check_overflow(magnitude, "vertex normal")
-    max_area = float(areas.max()) if len(areas) else 0.0
     normals, ok = _unit(acc, np.nextafter(1e-14 * max_area, np.inf))
     return normals, ~ok
 
@@ -104,20 +123,22 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     and zero curvature.
     """
     n = len(positions)
+    angles = np.empty((3, len(faces)))
+    areas = np.empty(len(faces))
     deficit = np.full(n, 2.0 * np.pi)
     ring_area = np.zeros(n)
-    # corner c as an (f, 3) view of component-major (3, f) storage
-    p = [np.take(positions.T, faces[:, c], axis=1).T for c in range(3)]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        # edge c runs from corner c to c + 1; corner c spans edges c, c - 1
-        e = [p[(c + 1) % 3] - p[c] for c in range(3)]
-        sines = _norm(_cross3(e[0], e[2]))
-        areas = 0.5 * sines
+        for rows, p in _face_corners(positions, faces):
+            # edge c runs from corner c to c + 1; corner c spans edges c, c - 1
+            e = [p[(c + 1) % 3] - p[c] for c in range(3)]
+            sines = _norm(_cross3(e[0], e[2]))
+            np.multiply(0.5, sines, out=areas[rows])
+            for c in range(3):
+                # a . b with b the reversed edge c - 1; 0.0 - x negates exactly
+                # and keeps a zero dot +0.0, so a collapsed corner's angle stays 0
+                np.arctan2(sines, 0.0 - _dot(e[c], e[c - 1]), out=angles[c, rows])
         for c in range(3):
-            # a . b with b the reversed edge c - 1; 0.0 - x negates exactly
-            # and keeps a zero dot +0.0, so a collapsed corner's angle stays 0
-            angles = np.arctan2(sines, 0.0 - _dot(e[c], e[c - 1]))
-            deficit -= np.bincount(faces[:, c], weights=angles, minlength=n)
+            deficit -= np.bincount(faces[:, c], weights=angles[c], minlength=n)
             ring_area += np.bincount(faces[:, c], weights=areas, minlength=n)
     _check_overflow(ring_area, "ring area")
     curvature = np.zeros(n)

@@ -182,9 +182,10 @@ class _Columns:
         """Convert `text`, whole OBJ lines after `lines`, from one split and move `lines`
         past it if it is `v x y z` rows, then `f i j k` rows with indices >= 1. A key
         on every line, 4 tokens a line, a key every 4th and numbers between align rows."""
-        key, n = text[:2], text.count("\n") + 1
+        key = text[:2]
         if "/" in text or "#" in text or key not in ("v ", "f "):  # cheap checks first
             return False
+        n = text.count("\n") + 1
         starts = text.count("\n" + key) + 1  # lines that start with `key`
         if key == "v " and starts < n:  # vertex rows, then face rows
             starts += text.count("\nf ")

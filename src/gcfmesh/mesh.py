@@ -14,6 +14,13 @@ straight back. A fan that neither pass orders (a ring edge twice, a ring
 vertex on three ring edges, several sheets) is flagged non-manifold, with
 its sorted neighbor set as the ring.
 
+The elementwise face, edge and half-edge passes here and in the curvature
+and metrics modules run one block of `_FACE_BLOCK` faces at a time
+(`_blocks`, `_face_corners`) and write into full-length arrays, so their
+temporaries stay a few MB however large the mesh. Every reduction adds in
+the order it would over one whole-mesh block, so no result depends on the
+block size.
+
 The row helpers at the end (`_cross3`, `_dot`, `_norm`, `_unit`, `_angle`,
 `_scatter`) are the one copy of each vector operation that the curvature,
 metrics, filter and baseline modules share. These layers gather rows of an
@@ -51,6 +58,29 @@ def _releases_memory(fn):
             _trim_heap()
 
     return call
+
+
+_FACE_BLOCK = 4096  # faces per block of the elementwise face, edge and half-edge passes
+
+
+def _blocks(count, per_face=1):
+    """Slices that cut `count` rows, `per_face` rows a face, into blocks of
+    _FACE_BLOCK faces."""
+    step = per_face * _FACE_BLOCK
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _face_corners(positions, faces):
+    """(rows, corners) for each block of faces: `rows` slices `faces` and
+    corners[c] holds the (rows, 3) positions of corner c. Column-major
+    positions are gathered component-major, so each x, y or z slice of a
+    corner is contiguous; other positions are gathered a row at a time."""
+    by_column = positions.flags.f_contiguous
+    for rows in _blocks(len(faces)):
+        block = faces[rows]
+        yield rows, [np.take(positions.T, block[:, c], axis=1).T if by_column
+                     else np.take(positions, block[:, c], axis=0)
+                     for c in range(3)]
 
 
 def _check_finite(vertices):
@@ -191,39 +221,59 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     """
     n = mesh.vertex_count
     faces = mesh.faces
-    center = faces.ravel().astype(np.int64)
-    start = faces[:, [1, 2, 0]].ravel()
-    end = faces[:, [2, 0, 1]].ravel()
-    order = np.argsort(center * n + start, kind="stable")
-    center, start, end = center[order], start[order], end[order]
-    key = center * n + start
-    counts = np.bincount(center, minlength=n)
+    m = faces.size
+    # vertex ids and half-edge indices (pass 2 adds up to 2m rows) are
+    # int32 while they fit; only the sort keys are int64
+    index = np.int32 if 3 * m < 2**31 else np.int64
+    counts = np.bincount(faces.ravel(), minlength=n)
+    key = faces.ravel().astype(np.int64)
+    key *= n
+    key += faces[:, [1, 2, 0]].ravel()
+    order = np.argsort(key, kind="stable").astype(index)
+    del key
+    start = faces[:, [1, 2, 0]].ravel()[order]
+    end = faces[:, [2, 0, 1]].ravel()[order]
+    del order
+    center = np.repeat(np.arange(n, dtype=np.int32), counts)
+    key = center.astype(np.int64)
+    key *= n
+    key += start
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    walk = np.empty(len(key), dtype=np.int64)
 
-    # pass 1, directed: a half-edge's successor starts where it ends
-    want = center * n + end
-    nxt = np.minimum(np.searchsorted(key, want), len(key) - 1)
-    nxt[key[nxt] != want] = -1
-    incoming = np.bincount(nxt[nxt >= 0], minlength=len(key))
+    # pass 1, directed: a half-edge's successor starts where it ends; the
+    # half-edges of one face block at a time look theirs up and count it in
+    nxt = np.empty(m, dtype=index)
+    incoming = np.zeros(m, dtype=index)
+    for rows in _blocks(m, 3):
+        want = center[rows].astype(np.int64) * n + end[rows]
+        j = np.minimum(np.searchsorted(key, want), m - 1).astype(index)
+        found = key[j] == want
+        nxt[rows] = np.where(found, j, -1)
+        j = j[found]
+        np.add.at(incoming, j, np.ones(len(j), dtype=index))
     simple = counts > 0
     simple[center[1:][key[1:] == key[:-1]]] = False  # a ring vertex starts twice
+    del key
     simple[center[incoming > 1]] = False             # ... or ends twice
-    first = indptr[:-1].copy()
+    first = indptr[:-1].astype(index)
     heads = np.flatnonzero(incoming == 0)
     first[center[heads]] = heads
+    del incoming, heads
+    walk = np.empty(m, dtype=index)
     manifold = _walk(simple, first, nxt, counts, indptr, walk)
 
     # pass 2, winding-agnostic: each ring edge of the fans pass 1 left, in
     # both directions, sorted by (center, start, end) as rows h, h + 1, ...
-    h = len(key)
+    h = m
     rows = np.flatnonzero(~manifold[center])
-    key2 = np.concatenate([key[rows], want[rows]])  # center * n + start
+    c2 = center[rows].astype(np.int64) * n
+    key2 = np.concatenate([c2 + start[rows], c2 + end[rows]])  # center * n + start
+    del c2
     s2 = np.concatenate([start[rows], end[rows]])
     e2 = np.concatenate([end[rows], start[rows]])
+    del rows
     order = np.lexsort((e2, key2))
-    del key, want, rows
     key2, s2, e2 = key2[order], s2[order], e2[order]
     del order
     same = np.diff(key2, prepend=-1, append=-1) == 0  # rows i - 1, i share a start
@@ -233,7 +283,8 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     # a successor leaves the vertex where its half-edge ends: by that
     # vertex's first row p, or by row p + 1 if p turns straight back
     p = np.searchsorted(key2, key2 - s2 + e2)
-    nxt = np.concatenate([nxt, np.where(same[1:][p], p + (e2[p] == s2) + h, -1)])
+    nxt = np.concatenate([nxt, np.where(same[1:][p], p + (e2[p] == s2) + h, -1)],
+                         dtype=index)
     # a cycle starts at its smallest vertex toward that vertex's smallest
     # neighbor, a chain at its smallest loose end
     left = np.flatnonzero(todo)
@@ -248,6 +299,7 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
 
     # the fans left take their sorted neighbor set
     rest = np.unique(key2[~manifold[key2 // n]])
+    del key2
     fans = np.flatnonzero(manifold)
     last = walk[indptr[fans + 1] - 1]
     chain = nxt[last] < 0
@@ -262,6 +314,7 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     ring_flat[~walked] = rest % n
     tails = ring_indptr[fans[chain] + 1] - 1
     ring_flat[tails] = end[last[chain]]
+    del nxt, end
     walked[tails] = False
     ring_flat[walked] = start[walk[manifold[center]]]
     return MeshTopology(
@@ -283,26 +336,46 @@ def _movable(topology: MeshTopology) -> np.ndarray:
 def unique_edges(faces: np.ndarray, return_counts: bool = False):
     """Undirected edge set of a face array, each edge once (sorted index pairs).
 
-    Each edge is keyed as min*n + max in int64, so a 1-D unique yields the
-    same lexicographic order as a row-wise unique of the index pairs.
+    Each edge is keyed as min*n + max in int64, so sorted keys give the
+    lexicographic order of a row-wise unique of the index pairs. The keys
+    are sorted in place and each run of equal keys is one edge and its
+    count, which is what np.unique returns.
     """
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    f = len(faces)
     n = int(faces.max()) + 1 if faces.size else 1
-    keys = e.min(axis=1).astype(np.int64) * n + e.max(axis=1)
-    keys, counts = np.unique(keys, return_counts=True)
-    edges = np.column_stack([keys // n, keys % n]).astype(faces.dtype)
-    return (edges, counts) if return_counts else edges
+    keys = np.empty(3 * f, dtype=np.int64)
+    for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        side = keys[k * f:(k + 1) * f]
+        np.minimum(faces[:, a], faces[:, b], out=side)
+        side *= n
+        side += np.maximum(faces[:, a], faces[:, b])
+    del side  # a view that would keep all of `keys` alive
+    keys.sort()
+    bounds = np.ones(len(keys) + 1, dtype=bool)  # a run starts at i, or i is the end
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    keys = keys[bounds[:-1]]
+    edges = np.empty((len(keys), 2), dtype=faces.dtype)
+    np.floor_divide(keys, n, out=edges[:, 0])
+    np.remainder(keys, n, out=edges[:, 1])
+    del keys
+    return (edges, np.diff(np.flatnonzero(bounds))) if return_counts else edges
 
 
 def _mean_length(positions, edges):
-    """Mean edge length, gathered one coordinate at a time and summed in
-    `_dot`'s order (bitwise `_norm`); DegenerateMeshError on overflow."""
+    """Mean edge length, gathered one coordinate and one block of edges at
+    a time and summed in `_dot`'s order (bitwise `_norm`), then averaged
+    over all edges at once; DegenerateMeshError on overflow."""
     if len(edges) == 0:
         raise EmptyMeshError("mesh has no faces")
+    columns = np.ascontiguousarray(positions.T)
+    lengths = np.empty(len(edges))
     with np.errstate(over="ignore"):  # reported below, not as a warning
-        mean = float(np.sqrt(sum(  # 0 + x*x + y*y + z*z, as _dot adds
-            (np.take(column, edges[:, 0]) - np.take(column, edges[:, 1])) ** 2
-            for column in np.ascontiguousarray(positions.T))).mean())
+        for rows in _blocks(len(edges)):
+            a, b = edges[rows, 0], edges[rows, 1]
+            np.sqrt(sum(  # 0 + x*x + y*y + z*z, as _dot adds
+                (np.take(column, a) - np.take(column, b)) ** 2
+                for column in columns), out=lengths[rows])
+        mean = float(lengths.mean())
     _check_overflow(mean, "mean edge length")
     return mean
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureField, face_normals, gaussian_curvature, \
+from .curvature import CurvatureField, _block_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import TriangleMesh, _angle, _norm, _releases_memory, build_topology
+from .mesh import (TriangleMesh, _angle, _face_corners, _norm, _releases_memory,
+                   build_topology)
 
 _KLD_EPS = 1e-12
 
@@ -43,15 +44,23 @@ class Histogram:
 
 def _msae(processed: TriangleMesh, original: TriangleMesh):
     """(mean face-normal angle in degrees, 0.0 without usable faces; number
-    of faces excluded as degenerate in either mesh)."""
-    if not np.array_equal(processed.faces, original.faces):
+    of faces excluded as degenerate in either mesh). The angles of one
+    block of faces at a time are packed into one array, which is then
+    averaged at once."""
+    faces = processed.faces
+    if not np.array_equal(faces, original.faces):
         raise ConnectivityMismatch("meshes differ in face connectivity")
-    np_proc, _, deg_p = face_normals(processed)
-    np_orig, _, deg_o = face_normals(original)
-    ok = ~(deg_p | deg_o)
-    angles, _ = _angle(np_proc[ok], np_orig[ok])
-    mean_deg = float(np.degrees(angles.mean())) if len(angles) else 0.0
-    return mean_deg, int((~ok).sum())
+    angles = np.empty(len(faces))
+    used = 0
+    for (_, p), (_, q) in zip(_face_corners(processed.vertices, faces),
+                              _face_corners(original.vertices, faces)):
+        (a, double_a), (b, double_b) = _block_normals(p), _block_normals(q)
+        ok = (double_a > 0) & (double_b > 0)
+        k = int(ok.sum())
+        angles[used:used + k] = _angle(a[ok], b[ok])[0]
+        used += k
+    mean_deg = float(np.degrees(angles[:used].mean())) if used else 0.0
+    return mean_deg, len(faces) - used
 
 
 @_releases_memory
