@@ -36,7 +36,9 @@ their successors are slices of two subtractions. Only the batched
 projection copies its operands to C order, to stay on one BLAS path. The
 minimum projection is taken per normal over the edges first, so the
 degenerate normals are masked in a (rows, d+1) array instead of the full
-projection.
+projection. Each temporary is freed after its last use, the candidates
+are scaled in place, and the projection is taken in row slices of at most
+_PROJ // 2 entries, as many as a full degree-6 block's edge arrays hold.
 
 Ring sums and minima run one numpy call per ring slice while the ring
 axis has at most _LONG_RING entries, which beats a reduction's short inner
@@ -57,13 +59,14 @@ import numpy as np
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .errors import DegenerateMeshError
-from .mesh import (MeshTopology, TriangleMesh, _check_finite, _cross3,
-                   _movable, _releases_memory, _unit, mean_edge_length)
+from .mesh import (MeshTopology, TriangleMesh, _check_finite, _check_overflow, _cross3,
+                   _movable, _norm, _releases_memory, _unit, mean_edge_length)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
 
 _BLOCK = 4096          # rows per degree-6 kernel call; blocks are what threads share
+_PROJ = _BLOCK * 42    # projection entries of a full degree-6 block
 _LONG_RING = 40        # a ring axis longer than this is reduced in one numpy call
 
 
@@ -108,8 +111,7 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
             rings = topology.ring_flat[
                 topology.ring_indptr[rows][:, None] + cols[None, :]
             ]
-            # proj holds rows * (d+1) * d entries, at most a degree-6 block's
-            block = min(_BLOCK, max(1, _BLOCK * 42 // ((d + 1) * d)))
+            block = min(_BLOCK, max(1, _PROJ // ((d + 1) * d)))
             blocks += [(rows[lo:lo + block], rings[lo:lo + block])
                        for lo in range(0, len(rows), block)]
         plan.append(blocks)
@@ -154,7 +156,8 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     1..d cross consecutive ring differences; their sign is irrelevant
     because only absolute projections are used. Every reduction runs along
     a fixed-length axis, so a row's result does not depend on which other
-    rows share the block.
+    rows share the block. An overflowing candidate magnitude raises
+    DegenerateMeshError ("face area").
     """
     d = rings.shape[1]
     wrapped = np.empty((d + 2, len(rows)), dtype=rings.dtype)
@@ -163,19 +166,31 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     ring = np.take(snapshot.T, wrapped, axis=1)
     spokes = (ring[:, 1:] - vi[:, None]).T      # edges 0..d-1, then edge 0
     chords = (ring[:, 1:] - ring[:, :-1]).T     # ring[k] - ring[k-1], k = 0..d
+    del wrapped, ring
     edges = spokes[:, :-1]
 
     direction, has_dir = _unit(_ring_sum(edges) / d, dir_tol)
 
     candidates = np.empty((3, d + 1, len(rows))).T
-    candidates[:, 0] = 0.5 * _ring_sum(_cross3(edges, spokes[:, 1:]))
-    _cross3(chords[:, :-1], chords[:, 1:], out=candidates[:, 1:])
-    normals, ok = _unit(candidates, normal_tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _cross3(chords[:, :-1], chords[:, 1:], out=candidates[:, 1:])
+        del chords
+        candidates[:, 0] = 0.5 * _ring_sum(_cross3(edges, spokes[:, 1:]))
+        mag = _norm(candidates)
+    _check_overflow(mag, "face area")
+    ok = mag >= normal_tol  # the rest stay unscaled: their minima become inf
+    np.divide(candidates, mag[..., None], out=candidates, where=ok[..., None])
+    normals = np.ascontiguousarray(candidates)
+    del candidates, mag, spokes  # edges, a view, holds spokes until its copy
+    edges = np.ascontiguousarray(edges.transpose(0, 2, 1))
 
-    proj = (np.ascontiguousarray(normals)
-            @ np.ascontiguousarray(edges.transpose(0, 2, 1)))
-    np.abs(proj, out=proj)
-    least = _ring_min(proj)  # per normal, over edges
+    least = np.empty((len(rows), d + 1))
+    step = max(1, _PROJ // 2 // ((d + 1) * d))
+    for lo in range(0, len(rows), step):
+        proj = normals[lo:lo + step] @ edges[lo:lo + step]
+        np.abs(proj, out=proj)
+        least[lo:lo + step] = _ring_min(proj)  # per normal, over edges
+        del proj
     least[~ok] = np.inf
     dist = _ring_min(least)
 

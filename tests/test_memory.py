@@ -12,6 +12,7 @@ temporaries these calls used to make peaked at 111 to 224 bytes a face.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gcfmesh as g
@@ -56,3 +57,41 @@ def test_peak_bytes_per_face(name, meshes, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak / noisy.face_count <= bound
+
+
+def _peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_peak_bytes_per_row(meshes):
+    """One full 4096-row degree-6 block of the default plan: the kernel
+    frees each temporary after its last use and projects half a block at a
+    time, about 700 B a row, where whole-block temporaries took 1,600."""
+    from gcfmesh import filtering
+
+    _, noisy, topology = meshes
+    plan = filtering._build_plan(topology, g.greedy_domain_decomposition(topology))
+    rows, rings = next(b for blocks in plan for b in blocks
+                       if len(b[0]) == filtering._BLOCK and b[1].shape[1] == 6)
+    positions = np.array(noisy.vertices, order="F")
+    scale = g.mean_edge_length(positions, noisy.faces)
+    peak = _peak(lambda: filtering._kernel(
+        positions, rows, rings, filtering.DIRECTION_TOL * scale,
+        filtering.NORMAL_TOL * scale * scale))
+    assert peak / len(rows) <= 800
+
+
+def test_two_thread_filter_peak_bytes_per_face(meshes):
+    """The working copy, the plan and two workers' kernel blocks at once
+    stay under 150 B a face (7.5 MB); one whole-block kernel call used to
+    take 6.6 MB alone and a one-thread filter 160 B a face."""
+    _, noisy, topology = meshes
+    coloring = g.greedy_domain_decomposition(topology)
+    peak = _peak(lambda: g.gcf_filter(noisy, topology, coloring,
+                                      g.FilterConfig(iterations=2, threads=2)))
+    assert peak / noisy.face_count <= 150

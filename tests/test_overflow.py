@@ -58,6 +58,19 @@ def test_traced_filter_raises_before_making_a_pool(huge_tetrahedron, threads,
     assert pools == []
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_untraced_filter_raises_on_overflowing_candidate_normals(huge_tetrahedron,
+                                                                 threads):
+    """The kernel's candidate normals are cross products of edges; without
+    the energy trace nothing else squares them, so the kernel checks them."""
+    topo = g.build_topology(huge_tetrahedron)
+    coloring = g.greedy_domain_decomposition(topo)
+    config = g.FilterConfig(iterations=2, threads=threads)
+    _raises(FACE_AREA, lambda: g.gcf_filter(huge_tetrahedron, topo, coloring, config))
+    _raises(FACE_AREA, lambda: g.gcf_step(huge_tetrahedron.vertices, topo, coloring,
+                                          threads=threads))
+
+
 def test_face_area_overflow_raises(huge_tetrahedron):
     topo = g.build_topology(huge_tetrahedron)
     _raises(FACE_AREA, lambda: g.face_normals(huge_tetrahedron))
@@ -78,6 +91,7 @@ def _write_huge_obj(path):
     (("noise", "-i", "huge.obj", "-o", "n.obj"), FACE_AREA),
     (("filter", "-i", "huge.obj", "-o", "f.obj", "--iters", "1",
       "--trace", "t.csv", "--threads", "2"), RING_AREA),
+    (("filter", "-i", "huge.obj", "-o", "f.obj", "--iters", "1", "--threads", "2"), FACE_AREA),
 ])
 def test_cli_rejects_overflowing_areas(tmp_path, argv, message):
     """In a fresh interpreter with default warning filters, stderr holds one
