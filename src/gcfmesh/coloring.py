@@ -4,7 +4,8 @@ Vertices are visited in ascending index order and each takes the smallest
 color absent from its already-colored neighbors, so the result is
 deterministic and uses at most max_degree + 1 colors. Vertices sharing a
 color are never adjacent, which is what allows the filter to update a whole
-color class simultaneously.
+color class simultaneously. A vertex hands its color on only to its
+neighbors above it, its edge-list row: those below are colored already.
 """
 
 from __future__ import annotations
@@ -36,14 +37,15 @@ class DomainColoring:
 def greedy_domain_decomposition(topology: MeshTopology) -> DomainColoring:
     """Color vertices greedily so no edge joins two same-colored vertices."""
     n = topology.vertex_count
-    # bit c of used[i] is set once a neighbor of i takes color c; rings are
-    # symmetric, so at its turn used[i] holds its colored neighbors' colors
+    # bit c of used[i] is set once a neighbor below i takes color c, so at
+    # its turn used[i] holds its colored neighbors' colors
     used = [0] * n
     color = array("i", [0]) * n  # int32, 4 bytes a vertex
-    for lo in range(0, n, _CHUNK):  # the rings of one chunk as Python ints
-        rp = topology.ring_indptr[lo:lo + _CHUNK + 1]
-        flat = topology.ring_flat[rp[0]:rp[-1]].tolist()
-        ends = (rp - rp[0]).tolist()
+    upper, at = topology.upper_flat, 0
+    for lo in range(0, n, _CHUNK):  # the edge-list rows of one chunk as Python ints
+        ends = [0, *np.cumsum(topology.upper_sizes[lo:lo + _CHUNK]).tolist()]
+        flat = upper[at:at + ends[-1]].tolist()
+        at += ends[-1]
         for i, a, b in zip(range(lo, n), ends, ends[1:]):
             m = used[i]
             bit = ~m & (m + 1)  # the lowest clear bit

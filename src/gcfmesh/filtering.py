@@ -59,8 +59,8 @@ import numpy as np
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .errors import DegenerateMeshError
-from .mesh import (MeshTopology, TriangleMesh, _check_finite, _check_overflow, _cross3,
-                   _movable, _norm, _releases_memory, _unit, mean_edge_length)
+from .mesh import (MeshTopology, TriangleMesh, _check_finite, _check_match, _check_overflow,
+                   _cross3, _mean_length, _movable, _norm, _releases_memory, _unit)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -251,12 +251,14 @@ def gcf_step(positions: np.ndarray, topology: MeshTopology,
 
     edge_scale defaults to the mean edge length of the given positions and
     anchors the degeneracy cutoffs. A NaN or infinite coordinate raises
-    NonFiniteError naming its vertex.
+    NonFiniteError naming its vertex, and a vertex count other than the
+    topology's CountMismatch.
     """
     positions = np.array(positions, dtype=np.float64, order="F")
+    _check_match(positions, topology)
     _check_finite(positions)
     if edge_scale is None:
-        edge_scale = mean_edge_length(positions, topology.faces)
+        edge_scale = _mean_length(positions, *topology.edges)
     _drive(positions, topology, coloring, edge_scale, threads, 1, False)
     return np.ascontiguousarray(positions)
 
@@ -269,11 +271,13 @@ def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
     Returns (filtered mesh, trace). The trace is None unless
     config.capture_trace is set; connectivity is shared unchanged and
     boundary/non-manifold vertices keep their exact input positions.
-    Output positions are identical for any worker count.
+    Output positions are identical for any worker count. A vertex count or
+    faces not the topology's raise CountMismatch or ConnectivityMismatch.
     """
+    _check_match(mesh.vertices, topology, mesh.faces)
     positions = np.array(mesh.vertices, order="F")
     trace = _drive(positions, topology, coloring,
-                   mean_edge_length(positions, mesh.faces),
+                   _mean_length(positions, *topology.edges),
                    config.threads, config.iterations, config.capture_trace)
     # the trim runs after return: the working copy outlives its C-ordered copy
     return TriangleMesh(positions, mesh.faces.copy()), trace

@@ -5,7 +5,8 @@ undecodable bytes replaced and skips blank and `#` lines in all three
 formats. A reader routes each row's tokens into the columns of a `_Columns`,
 which converts each column to a flat typed array (float64 coordinates and
 quality, int64 colors and indices) once per chunk of rows; an OBJ chunk of
-only `v x y z` and `f i j k` lines converts from one split. Faces become a
+only `v x y z` and `f i j k` lines converts from one split, or if only
+`f i j k` lines of ASCII digits from one np.fromstring call. Faces become a
 CSR pair of flat indices and per-row sizes. Polygons are fan-triangulated
 and triangles that repeat a vertex dropped, each with a warning, so loaded
 meshes satisfy the TriangleMesh invariants. A `COFF` file reads as OFF with
@@ -77,6 +78,19 @@ def _parse(tokens, dtype):
             np.array([token], dtype=dtype)
         except (ValueError, OverflowError):
             return np.array(tokens[:bad], dtype=dtype), bad
+
+
+def _digit_faces(text, n):
+    """The indices of `text`, `n` OBJ rows `f i j k` of ASCII digits, from one
+    np.fromstring call, which reads `f` (only the keys) as 0 and an index past
+    int64 as 2**63 - 1; None unless they are 3 a row, each in 1..2**63 - 2."""
+    if text.count("f") != n or text.encode().translate(None, b"0123456789 \nf"):
+        return None
+    rows = np.fromstring(text.replace("f", "0"), sep=" ", dtype=np.int64)
+    if len(rows) != 4 * n or rows[::4].any():
+        return None
+    flat = rows.reshape(n, 4)[:, 1:].ravel()
+    return flat if flat.min() >= 1 and flat.max() < 2**63 - 1 else None
 
 
 def _row_of(sizes, i):
@@ -181,7 +195,8 @@ class _Columns:
     def regular(self, text, lines):
         """Convert `text`, whole OBJ lines after `lines`, from one split and move `lines`
         past it if it is `v x y z` rows, then `f i j k` rows with indices >= 1. A key
-        on every line, 4 tokens a line, a key every 4th and numbers between align rows."""
+        on every line, 4 tokens a line, a key every 4th and numbers between align rows;
+        `f i j k` rows alone in ASCII digits convert from one np.fromstring call."""
         key = text[:2]
         if "/" in text or "#" in text or key not in ("v ", "f "):  # cheap checks first
             return False
@@ -191,18 +206,21 @@ class _Columns:
             starts += text.count("\nf ")
         if starts != n:
             return False
-        tokens = text.split()
-        rows = tokens[::4].count("v")  # vertex rows, which must come first
-        if len(tokens) != 4 * n or tokens[4 * rows::4].count("f") != n - rows:
-            return False
-        del tokens[::4]
-        try:
-            xyz = np.array(tokens[:3 * rows], dtype=np.float64)
-            flat = np.array(tokens[3 * rows:], dtype=np.int64)
-        except (ValueError, OverflowError):
-            return False
-        if (flat <= 0).any():  # 0 is an error, and a negative index counts back
-            return False
+        rows, xyz = 0, np.empty(0)
+        flat = _digit_faces(text, n) if key == "f " else None
+        if flat is None:
+            tokens = text.split()
+            rows = tokens[::4].count("v")  # vertex rows, which must come first
+            if len(tokens) != 4 * n or tokens[4 * rows::4].count("f") != n - rows:
+                return False
+            del tokens[::4]
+            try:
+                xyz = np.array(tokens[:3 * rows], dtype=np.float64)
+                flat = np.array(tokens[3 * rows:], dtype=np.int64)
+            except (ValueError, OverflowError):
+                return False
+            if (flat <= 0).any():  # 0 is an error, and a negative index counts back
+                return False
         for out, values in ((self._vertices, xyz), (self._flat, flat - 1),
                             (self._sizes, np.full(n - rows, 3, dtype=np.int64))):
             out.frombytes(values.view(np.uint8))

@@ -12,7 +12,8 @@ enter a second table with each ring edge in both directions, and a
 successor leaves the vertex where its half-edge ends without turning
 straight back. A fan that neither pass orders (a ring edge twice, a ring
 vertex on three ring edges, several sheets) is flagged non-manifold, with
-its sorted neighbor set as the ring.
+its sorted neighbor set as the ring. The same table gives the edge list,
+each vertex's neighbors above it, without another sort.
 
 The elementwise face, edge and half-edge passes here and in the curvature
 and metrics modules run one block of `_FACE_BLOCK` faces at a time
@@ -37,8 +38,8 @@ from functools import cached_property, partial, wraps
 
 import numpy as np
 
-from .errors import (DegenerateMeshError, EmptyMeshError, FaceIndexError,
-                     NonFiniteError)
+from .errors import (ConnectivityMismatch, CountMismatch, DegenerateMeshError,
+                     EmptyMeshError, FaceIndexError, NonFiniteError)
 
 try:  # glibc only: malloc_trim hands freed heap pages back to the OS
     _trim_heap = partial(ctypes.CDLL(None).malloc_trim, 0)
@@ -164,21 +165,25 @@ class MeshTopology:
     is_boundary     : True iff the fan is a single open chain.
     is_manifold_fan : True iff the incident faces form a single open or
                       closed fan.
+    upper_flat      : the int32 edge list: vertex i's neighbors above it,
+                      ascending, in upper_sizes[i] entries; unique_edges' rows.
 
     `neighbors` is built on first access. The structure is immutable after
     construction and safe to share across threads. `faces` keeps a
-    reference to the defining face array for the filter's energy trace (and
-    `gcf_step`'s default edge scale), so the filter needs only positions
-    plus a topology.
+    reference to the defining face array for the filter's energy trace,
+    and the edge list gives the filter and the noise their edge scale, so
+    the filter needs only positions plus a topology.
     """
 
     def __init__(self, faces, ring_flat, ring_indptr, is_boundary,
-                 is_manifold_fan):
+                 is_manifold_fan, upper_flat, upper_sizes):
         self.faces = faces
         self.ring_flat = ring_flat
         self.ring_indptr = ring_indptr
         self.is_boundary = is_boundary
         self.is_manifold_fan = is_manifold_fan
+        self.upper_flat = upper_flat
+        self.upper_sizes = upper_sizes
         self.ring_sizes = np.diff(ring_indptr)
 
     @cached_property
@@ -189,6 +194,12 @@ class MeshTopology:
     @property
     def vertex_count(self) -> int:
         return len(self.is_boundary)
+
+    @property
+    def edges(self):
+        """(lower, upper): the int32 ends of the edge list's edges."""
+        return np.repeat(np.arange(len(self.upper_sizes), dtype=np.int32),
+                         self.upper_sizes), self.upper_flat
 
 
 def _walk(done, first, nxt, counts, indptr, walk):
@@ -252,9 +263,21 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
         nxt[rows] = np.where(found, j, -1)
         j = j[found]
         np.add.at(incoming, j, np.ones(len(j), dtype=index))
+    again = key[1:] == key[:-1]
     simple = counts > 0
-    simple[center[1:][key[1:] == key[:-1]]] = False  # a ring vertex starts twice
-    del key
+    simple[center[1:][again]] = False  # a ring vertex starts twice
+    # the edge list: a center's distinct starts above it, with its ends above
+    # it that no start matches merged in, so that each row stays sorted
+    upper = np.flatnonzero(np.append(True, ~again) & (start > center))
+    loose = np.flatnonzero((nxt < 0) & (end > center))
+    ends = np.sort(center[loose].astype(np.int64) * n + end[loose], kind="stable")
+    ends = ends[np.diff(ends, prepend=-1) != 0]  # np.unique's result, faster on runs
+    at = np.searchsorted(upper, np.searchsorted(key, ends))
+    del key, again, loose
+    upper_flat = np.insert(np.take(start, upper), at, ends % n)
+    upper_sizes = np.bincount(np.take(center, upper), minlength=n).astype(np.int32)
+    upper_sizes += np.bincount(ends // n, minlength=n)
+    del upper, ends, at
     simple[center[incoming > 1]] = False             # ... or ends twice
     first = indptr[:-1].astype(index)
     heads = np.flatnonzero(incoming == 0)
@@ -323,7 +346,18 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
         ring_indptr=ring_indptr,
         is_boundary=is_boundary,
         is_manifold_fan=manifold,
+        upper_flat=upper_flat,
+        upper_sizes=upper_sizes,
     )
+
+
+def _check_match(positions, topology, faces=None):
+    """CountMismatch unless `positions` has a row per topology vertex, and
+    ConnectivityMismatch unless `faces`, if given, are the topology's."""
+    if len(positions) != topology.vertex_count:
+        raise CountMismatch(f"{len(positions)} vertices, {topology.vertex_count} in the topology")
+    if not (faces is None or faces is topology.faces or np.array_equal(faces, topology.faces)):
+        raise ConnectivityMismatch("the mesh's faces are not the topology's")
 
 
 def _movable(topology: MeshTopology) -> np.ndarray:
@@ -361,17 +395,17 @@ def unique_edges(faces: np.ndarray, return_counts: bool = False):
     return (edges, np.diff(np.flatnonzero(bounds))) if return_counts else edges
 
 
-def _mean_length(positions, edges):
-    """Mean edge length, gathered one coordinate and one block of edges at
-    a time and summed in `_dot`'s order (bitwise `_norm`), then averaged
-    over all edges at once; DegenerateMeshError on overflow."""
-    if len(edges) == 0:
+def _mean_length(positions, lower, upper):
+    """Mean length of the edges (lower[k], upper[k]), gathered one coordinate
+    and one block of edges at a time and summed in `_dot`'s order (bitwise
+    `_norm`), then averaged over all edges at once; DegenerateMeshError on overflow."""
+    if len(upper) == 0:
         raise EmptyMeshError("mesh has no faces")
     columns = np.ascontiguousarray(positions.T)
-    lengths = np.empty(len(edges))
+    lengths = np.empty(len(upper))
     with np.errstate(over="ignore"):  # reported below, not as a warning
-        for rows in _blocks(len(edges)):
-            a, b = edges[rows, 0], edges[rows, 1]
+        for rows in _blocks(len(upper)):
+            a, b = lower[rows], upper[rows]
             np.sqrt(sum(  # 0 + x*x + y*y + z*z, as _dot adds
                 (np.take(column, a) - np.take(column, b)) ** 2
                 for column in columns), out=lengths[rows])
@@ -383,7 +417,7 @@ def _mean_length(positions, edges):
 def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
     """Mean length over unique undirected edges; EmptyMeshError without
     faces, DegenerateMeshError if the mean overflows."""
-    return _mean_length(positions, unique_edges(faces))
+    return _mean_length(positions, *unique_edges(faces).T)
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
@@ -391,7 +425,7 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     edges, counts = unique_edges(mesh.faces, return_counts=True)
     boundary_vertices = np.unique(edges[counts == 1])
     return MeshStats(
-        mean_edge_length=_mean_length(mesh.vertices, edges),
+        mean_edge_length=_mean_length(mesh.vertices, *edges.T),
         vertex_count=mesh.vertex_count,
         face_count=mesh.face_count,
         boundary_vertex_count=int(len(boundary_vertices)),

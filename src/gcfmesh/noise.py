@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import vertex_normals
-from .mesh import MeshTopology, TriangleMesh, _releases_memory, mean_edge_length
+from .mesh import MeshTopology, TriangleMesh, _check_match, _mean_length, _releases_memory
 
 MODES = ("along_normal", "isotropic")
 
@@ -39,9 +39,11 @@ def add_noise(mesh: TriangleMesh, topology: MeshTopology,
 
     along_normal draws vertex_count scalars in one call; isotropic draws a
     (vertex_count, 3) block. Vertices with a degenerate normal receive no
-    displacement in along_normal mode.
+    displacement in along_normal mode. A vertex count or faces not the
+    topology's raise CountMismatch or ConnectivityMismatch.
     """
-    sigma = config.sigma_factor * mean_edge_length(mesh.vertices, mesh.faces)
+    _check_match(mesh.vertices, topology, mesh.faces)
+    sigma = config.sigma_factor * _mean_length(mesh.vertices, *topology.edges)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = mesh.vertex_count
     if config.mode == "along_normal":

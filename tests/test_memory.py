@@ -95,3 +95,21 @@ def test_two_thread_filter_peak_bytes_per_face(meshes):
     peak = _peak(lambda: g.gcf_filter(noisy, topology, coloring,
                                       g.FilterConfig(iterations=2, threads=2)))
     assert peak / noisy.face_count <= 150
+
+
+def test_greedy_coloring_peak_bytes_per_face(meshes, monkeypatch):
+    """Each vertex hands its color on only along its edge-list row, half
+    its ring, so the coloring's Python ints peak below 14 B a face, where
+    walking the whole rings took 16.6."""
+    monkeypatch.setattr(coloring, "_CHUNK", coloring._CHUNK // 4)
+    _, _, topology = meshes
+    peak = _peak(lambda: g.greedy_domain_decomposition(topology))
+    assert peak / len(topology.faces) <= 14
+
+
+def test_edge_list_bytes_per_vertex(meshes):
+    """The edge list the topology keeps, int32 neighbors above each vertex
+    and int32 counts, takes at most 16 B a vertex."""
+    _, _, topology = meshes
+    kept = topology.upper_flat.nbytes + topology.upper_sizes.nbytes
+    assert kept / topology.vertex_count <= 16

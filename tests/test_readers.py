@@ -440,3 +440,115 @@ def test_regular_obj_chunks_skip_the_row_router(tmp_path, monkeypatch):
     assert routed == []
     assert _bits(loaded.vertices) == _bits(mesh.vertices)
     assert _bits(loaded.faces) == _bits(mesh.faces)
+
+
+# --- OBJ face pieces converted by np.fromstring ------------------------------
+
+@functools.cache
+def _face_run_obj():
+    """(lines, edges) of an OBJ save of 2,000 vertices and 12,000 random
+    faces, whose face rows span several reads. `edges` are the face lines
+    next to a read boundary."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    faces = rng.integers(0, 2000, (15000, 3))
+    faces = faces[(faces[:, 0] != faces[:, 1]) & (faces[:, 1] != faces[:, 2])
+                  & (faces[:, 2] != faces[:, 0])][:12000]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.obj"
+        save_mesh(TriangleMesh(rng.standard_normal((2000, 3)), faces), path)
+        lines = path.read_text().split("\n")[:-1]
+    starts = np.cumsum([0] + [len(line) + 1 for line in lines])
+    near = [int(np.searchsorted(starts, k * _READ, "right")) - 1
+            for k in range(1, int(starts[-1]) // _READ + 1)]
+    edges = sorted({i + d for i in near for d in (-1, 0) if lines[i + d].startswith("f ")})
+    assert len(edges) >= 8  # the face rows span at least four read boundaries
+    return lines, edges
+
+
+_UNICODE_DIGITS = ["٣", "३", "３", "𝟕"]
+_LONG_INDICES = [str(2**63 - 1), str(2**63 - 2), "0" + str(2**63 - 1), str(10**18),
+                 "0" * 19 + "7"]
+
+
+@st.composite
+def _face_run_mutated(draw):
+    """The face-run save with up to three face-row changes, each read by
+    int() as by the line reader, and most refused by the np.fromstring
+    parse: a `+` sign, leading zeros, a `_`, a non-ASCII digit, a double
+    space, a 19- or 20-digit index, a 0 index or an `f` after an index."""
+    lines, edges = _face_run_obj()
+    lines = list(lines)
+    faces = [i for i, line in enumerate(lines) if line.startswith("f ")]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from(edges) | st.sampled_from(faces))
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(1, 3))
+        op = draw(st.sampled_from(["plus", "zeros", "underscore", "unicode digit",
+                                   "double space", "long index", "zero index",
+                                   "key letter"]))
+        if op == "plus":
+            tokens[j] = "+" + tokens[j]
+        elif op == "zeros":
+            tokens[j] = "0" * draw(st.integers(1, 3)) + tokens[j]
+        elif op == "underscore" and len(tokens[j]) > 1:
+            tokens[j] = tokens[j][0] + "_" + tokens[j][1:]
+        elif op == "unicode digit" and tokens[j]:
+            k = draw(st.integers(0, len(tokens[j]) - 1))
+            tokens[j] = tokens[j][:k] + draw(st.sampled_from(_UNICODE_DIGITS)) + tokens[j][k + 1:]
+        elif op == "double space":
+            tokens[j] = " " + tokens[j]
+        elif op == "long index":
+            tokens[j] = draw(st.sampled_from(_LONG_INDICES))
+        elif op == "zero index":
+            tokens[j] = "0"
+        elif op == "key letter":
+            tokens[j] = tokens[j] + "f"
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(text=_face_run_mutated())
+def test_face_runs_over_several_reads_read_as_the_line_reader(tmp_path, text):
+    _same_outcome(tmp_path / "m.obj", text)
+
+
+@pytest.mark.parametrize("bad", ["x", "99999999999999999999"])
+def test_bad_face_token_at_a_read_edge_reports_its_line(tmp_path, bad):
+    """A bad token in the last face row of a read or in the first of the
+    next, where the pieces split: a letter after an index, or an index past
+    int64 that np.fromstring would read as 2**63 - 1."""
+    lines, edges = _face_run_obj()
+    path = tmp_path / "m.obj"
+    for i in edges:
+        tokens = lines[i].split(" ")
+        tokens[-1] = tokens[-1] + bad if bad == "x" else bad
+        path.write_text("\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1:]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_mesh(path)
+        assert err.value.line == i + 1
+        if bad == "x":
+            assert _outcome(load_mesh_attributes, path) == _outcome(
+                line_reader.load_mesh_attributes, path)
+
+
+def test_saved_face_pieces_skip_the_split_conversion(tmp_path, monkeypatch):
+    """Every piece of a save that holds face rows alone converts from one
+    np.fromstring call, so none of them reaches the split conversion."""
+    import gcfmesh.io
+
+    mesh = _strip(3 * _CHUNK_ROWS + 5, 0)
+    path = tmp_path / "strip.obj"
+    save_mesh(mesh, path)
+    with open(path) as fh:
+        face_pieces = sum(text.startswith("f ") for text in gcfmesh.io._whole_lines(fh))
+    convert, converted = gcfmesh.io._digit_faces, []
+    monkeypatch.setattr(gcfmesh.io, "_digit_faces", lambda text, n:
+                        converted.append(convert(text, n)) or converted[-1])
+    loaded = load_mesh(path)
+    assert face_pieces >= 3 and len(converted) == face_pieces
+    assert all(flat is not None for flat in converted)
+    assert _bits(loaded.vertices) == _bits(mesh.vertices)
+    assert _bits(loaded.faces) == _bits(mesh.faces)
