@@ -30,7 +30,7 @@ from .errors import (FaceIndexError, FormatCapabilityError, MeshError,
 from .filtering import FilterConfig, gcf_filter
 from .generate import generate_mesh
 from .io import _output_format, _write_rows, load_mesh, save_mesh
-from .mesh import build_topology, mesh_stats
+from .mesh import _pin_heap_thresholds, build_topology, mesh_stats
 from .metrics import metrics_report
 from .noise import NoiseConfig, add_noise
 
@@ -299,6 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_heap_thresholds()
     args = _build_parser().parse_args(argv)
     run = _Run(getattr(args, "input", None))
     try:

@@ -42,9 +42,23 @@ from .errors import (ConnectivityMismatch, CountMismatch, DegenerateMeshError,
                      EmptyMeshError, FaceIndexError, NonFiniteError)
 
 try:  # glibc only: malloc_trim hands freed heap pages back to the OS
-    _trim_heap = partial(ctypes.CDLL(None).malloc_trim, 0)
+    _libc = ctypes.CDLL(None)
+    _trim_heap = partial(_libc.malloc_trim, 0)
+    _mallopt = _libc.mallopt
 except (AttributeError, OSError, TypeError):
     _trim_heap = int  # no-op
+    _mallopt = None
+
+
+def _pin_heap_thresholds():
+    """Pin glibc's mmap and trim thresholds at their 32 MiB ceiling. glibc
+    raises both whenever it frees an mmapped block, so a call's peak RSS
+    would hang on what the process freed before it; pinned, blocks below
+    32 MiB come from the heap and stay there until a trim. Process-wide, so
+    only the command line calls it."""
+    if _mallopt is not None:
+        for param in (-3, -1):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+            _mallopt(param, 32 << 20)
 
 
 def _releases_memory(fn):
@@ -266,23 +280,25 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     again = key[1:] == key[:-1]
     simple = counts > 0
     simple[center[1:][again]] = False  # a ring vertex starts twice
-    # the edge list: a center's distinct starts above it, with its ends above
-    # it that no start matches merged in, so that each row stays sorted
-    upper = np.flatnonzero(np.append(True, ~again) & (start > center))
-    loose = np.flatnonzero((nxt < 0) & (end > center))
-    ends = np.sort(center[loose].astype(np.int64) * n + end[loose], kind="stable")
-    ends = ends[np.diff(ends, prepend=-1) != 0]  # np.unique's result, faster on runs
-    at = np.searchsorted(upper, np.searchsorted(key, ends))
-    del key, again, loose
-    upper_flat = np.insert(np.take(start, upper), at, ends % n)
-    upper_sizes = np.bincount(np.take(center, upper), minlength=n).astype(np.int32)
-    upper_sizes += np.bincount(ends // n, minlength=n)
-    del upper, ends, at
     simple[center[incoming > 1]] = False             # ... or ends twice
     first = indptr[:-1].astype(index)
     heads = np.flatnonzero(incoming == 0)
     first[center[heads]] = heads
     del incoming, heads
+    # the edge list: a center's distinct starts above it, with its ends above
+    # it that no start matches merged in, so that each row stays sorted
+    loose = np.flatnonzero((nxt < 0) & (end > center))
+    ends = np.sort(center[loose].astype(np.int64) * n + end[loose], kind="stable")
+    ends = ends[np.diff(ends, prepend=-1) != 0]  # np.unique's result, faster on runs
+    at = np.searchsorted(key, ends)  # their rows in the (center, start) table, so
+    del key, loose                    # the int64 keys go before the index below
+    upper = np.flatnonzero(np.append(True, ~again) & (start > center))
+    del again
+    at = np.searchsorted(upper, at)
+    upper_flat = np.insert(np.take(start, upper), at, ends % n)
+    upper_sizes = np.bincount(np.take(center, upper), minlength=n).astype(np.int32)
+    upper_sizes += np.bincount(ends // n, minlength=n)
+    del upper, ends, at
     walk = np.empty(m, dtype=index)
     manifold = _walk(simple, first, nxt, counts, indptr, walk)
 
@@ -316,20 +332,23 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     loose = loose[np.diff(key2[loose] // n, prepend=-1) != 0]
     first[key2[loose] // n] = loose + h
     del p, same
-    start, end = np.concatenate([start, s2]), np.concatenate([end, e2])
+    start = np.concatenate([start, s2])  # one grown copy alive at a time
+    end = np.concatenate([end, e2])
     del s2, e2
     manifold |= _walk(todo, first, nxt, counts, indptr, walk)
 
     # the fans left take their sorted neighbor set
     rest = np.unique(key2[~manifold[key2 // n]])
-    del key2
+    del key2, first
     fans = np.flatnonzero(manifold)
     last = walk[indptr[fans + 1] - 1]
     chain = nxt[last] < 0
+    del indptr, nxt
     is_boundary = np.zeros(n, dtype=bool)
     is_boundary[fans[chain]] = True
     ring_sizes = np.where(manifold, counts + is_boundary,
                           np.bincount(rest // n, minlength=n))
+    del counts
     ring_indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(ring_sizes, out=ring_indptr[1:])
     ring_flat = np.empty(ring_indptr[-1], dtype=np.int32)
@@ -337,9 +356,11 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     ring_flat[~walked] = rest % n
     tails = ring_indptr[fans[chain] + 1] - 1
     ring_flat[tails] = end[last[chain]]
-    del nxt, end
+    del end, fans, last, chain
     walked[tails] = False
-    ring_flat[walked] = start[walk[manifold[center]]]
+    walk = walk[manifold[center]]  # the walked half-edges, fan by fan
+    del center
+    ring_flat[walked] = np.take(start, walk)
     return MeshTopology(
         faces=faces,
         ring_flat=ring_flat,
