@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh, _movable, _scatter
+from .mesh import MeshTopology, TriangleMesh, _check_match, _movable, _scatter
 
 
 def _smooth(mesh, topology, iterations, factors):
@@ -17,6 +17,7 @@ def _smooth(mesh, topology, iterations, factors):
     every movable vertex moves by factor * (ring centroid - vertex)."""
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
+    _check_match(mesh.vertices, topology, mesh.faces)
     n = mesh.vertex_count
     deg = topology.ring_sizes
     center = np.repeat(np.arange(n), deg)

@@ -22,10 +22,8 @@ above about 1e77, and a vertex normal squares a sum of face areas: each is
 computed without numpy warnings and then raises DegenerateMeshError through
 `mesh._check_overflow` unless finite.
 
-Corners are gathered with `np.take`, because fancy indexing is numpy's slow
-path for rows, one block of faces at a time (`mesh._face_corners`, which
-gathers column-major positions component-major so that each x, y or z
-slice is contiguous). A block writes its elementwise results into
+Corners are read one block of faces at a time through `mesh._gather`, by
+the layout rule in `mesh`. A block writes its elementwise results into
 full-length arrays, and the curvature's bincounts then run over those
 whole arrays. The vertex-normal sums add one block after another with
 `np.add.at`, in face order from +0.0, which is the order and the bits of
@@ -38,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (MeshTopology, TriangleMesh, _blocks, _check_overflow, _cross3,
-                   _dot, _face_corners, _norm, _releases_memory, _unit)
+from .mesh import (MeshTopology, TriangleMesh, _check_match, _check_overflow, _cross3,
+                   _dot, _gather, _norm, _releases_memory, _unit)
 
 
 @dataclass(eq=False)
@@ -82,7 +80,7 @@ def face_normals(mesh: TriangleMesh):
     """
     normals = np.empty((mesh.face_count, 3))
     areas = np.empty(mesh.face_count)
-    for rows, corners in _face_corners(mesh.vertices, mesh.faces):
+    for rows, corners in _gather(mesh.vertices, *mesh.faces.T):
         normals[rows], areas[rows] = _block_normals(corners)
     degenerate = areas == 0
     areas *= 0.5
@@ -96,17 +94,18 @@ def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
     sum nearly cancels (magnitude <= 1e-14 * max face area) get a zero
     normal and the flag. DegenerateMeshError if a magnitude overflows.
     """
-    weighted, areas, _ = face_normals(mesh)
-    weighted *= areas[:, None]
-    max_area = float(areas.max()) if len(areas) else 0.0
+    max_area = 0.0
     # each block of faces adds its weighted normal to its three corners, in
     # face order and from +0.0, which is the order and the bits of np.bincount
     acc = np.zeros((mesh.vertex_count, 3))
-    for rows in _blocks(len(areas)):
-        corners = mesh.faces[rows].ravel()
+    for rows, corners in _gather(mesh.vertices, *mesh.faces.T):
+        weighted, areas = _block_normals(corners)
+        areas *= 0.5
+        weighted *= areas[:, None]
+        max_area = max(max_area, float(areas.max()))
+        at = mesh.faces[rows].ravel()
         for c in range(3):
-            np.add.at(acc[:, c], corners, weighted[rows, c].repeat(3))
-    del weighted, areas
+            np.add.at(acc[:, c], at, weighted[:, c].repeat(3))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         magnitude = _norm(acc)
     _check_overflow(magnitude, "vertex normal")
@@ -128,7 +127,7 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     deficit = np.full(n, 2.0 * np.pi)
     ring_area = np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        for rows, p in _face_corners(positions, faces):
+        for rows, p in _gather(positions, *faces.T):
             # edge c runs from corner c to c + 1; corner c spans edges c, c - 1
             e = [p[(c + 1) % 3] - p[c] for c in range(3)]
             sines = _norm(_cross3(e[0], e[2]))
@@ -149,6 +148,7 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
 @_releases_memory
 def gaussian_curvature(mesh: TriangleMesh, topology: MeshTopology) -> CurvatureField:
     """Discrete Gaussian curvature of every vertex (boundary vertices flagged)."""
+    _check_match(mesh.vertices, topology, mesh.faces)
     return curvature_field(mesh.vertices, mesh.faces, topology.is_boundary.copy())
 
 

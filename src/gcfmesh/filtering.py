@@ -105,7 +105,7 @@ def _build_plan(topology: MeshTopology, coloring: DomainColoring):
         rows_all = domain[movable[domain]]
         blocks = []
         sizes = topology.ring_sizes[rows_all]
-        for d in np.unique(sizes):
+        for d in np.flatnonzero(np.bincount(sizes)):
             rows = rows_all[sizes == d]
             cols = np.arange(d, dtype=np.int64)
             rings = topology.ring_flat[

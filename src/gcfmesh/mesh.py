@@ -17,17 +17,21 @@ each vertex's neighbors above it, without another sort.
 
 The elementwise face, edge and half-edge passes here and in the curvature
 and metrics modules run one block of `_FACE_BLOCK` faces at a time
-(`_blocks`, `_face_corners`) and write into full-length arrays, so their
-temporaries stay a few MB however large the mesh. Every reduction adds in
-the order it would over one whole-mesh block, so no result depends on the
-block size.
+(`_blocks`) and write into full-length arrays, so their temporaries stay a
+few MB however large the mesh. Every reduction adds in the order it would
+over one whole-mesh block, so no result depends on the block size.
+
+Layout rule: every face and edge pass reads positions through `_gather`,
+which copies them once into contiguous x, y and z columns (a view when the
+positions are column-major) and takes each block's positions from those
+columns with `np.take`. So each component of a gathered block is one
+contiguous run, whatever the layout of the caller's array; rows gathered by
+fancy indexing such as `positions[edges[:, 0]]` go through numpy's general
+index iterator, two to five times slower.
 
 The row helpers at the end (`_cross3`, `_dot`, `_norm`, `_unit`, `_angle`,
 `_scatter`) are the one copy of each vector operation that the curvature,
-metrics, filter and baseline modules share. These layers gather rows of an
-(n, 3) array by index with `np.take`, not with fancy indexing such as
-`positions[edges[:, 0]]`: numpy copies each fancy-indexed 24-byte row through
-its general index iterator, which takes two to five times as long.
+metrics, filter and baseline modules share.
 """
 
 from __future__ import annotations
@@ -85,17 +89,14 @@ def _blocks(count, per_face=1):
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _face_corners(positions, faces):
-    """(rows, corners) for each block of faces: `rows` slices `faces` and
-    corners[c] holds the (rows, 3) positions of corner c. Column-major
-    positions are gathered component-major, so each x, y or z slice of a
-    corner is contiguous; other positions are gathered a row at a time."""
-    by_column = positions.flags.f_contiguous
-    for rows in _blocks(len(faces)):
-        block = faces[rows]
-        yield rows, [np.take(positions.T, block[:, c], axis=1).T if by_column
-                     else np.take(positions, block[:, c], axis=0)
-                     for c in range(3)]
+def _gather(positions, *index):
+    """(rows, points) for each block of _FACE_BLOCK entries of the index
+    arrays: `rows` slices them and points[k] holds the (rows, 3) positions
+    at index[k][rows], gathered from one contiguous copy of the x, y and z
+    columns."""
+    columns = np.ascontiguousarray(positions.T)
+    for rows in _blocks(len(index[0])):
+        yield rows, [np.take(columns, at[rows], axis=1).T for at in index]
 
 
 def _check_finite(vertices):
@@ -331,15 +332,15 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     loose = np.flatnonzero(~(same[:-1] | same[1:]))
     loose = loose[np.diff(key2[loose] // n, prepend=-1) != 0]
     first[key2[loose] // n] = loose + h
-    del p, same
+    del p
     start = np.concatenate([start, s2])  # one grown copy alive at a time
     end = np.concatenate([end, e2])
     del s2, e2
     manifold |= _walk(todo, first, nxt, counts, indptr, walk)
 
-    # the fans left take their sorted neighbor set
-    rest = np.unique(key2[~manifold[key2 // n]])
-    del key2, first
+    # the fans left take their sorted neighbor set: each run's first key
+    rest = key2[~same[:-1] & ~manifold[key2 // n]]
+    del key2, same, first
     fans = np.flatnonzero(manifold)
     last = walk[indptr[fans + 1] - 1]
     chain = nxt[last] < 0
@@ -417,19 +418,14 @@ def unique_edges(faces: np.ndarray, return_counts: bool = False):
 
 
 def _mean_length(positions, lower, upper):
-    """Mean length of the edges (lower[k], upper[k]), gathered one coordinate
-    and one block of edges at a time and summed in `_dot`'s order (bitwise
-    `_norm`), then averaged over all edges at once; DegenerateMeshError on overflow."""
+    """Mean length of the edges (lower[k], upper[k]), one block of edges at
+    a time, then averaged over all edges at once; DegenerateMeshError on overflow."""
     if len(upper) == 0:
         raise EmptyMeshError("mesh has no faces")
-    columns = np.ascontiguousarray(positions.T)
     lengths = np.empty(len(upper))
     with np.errstate(over="ignore"):  # reported below, not as a warning
-        for rows in _blocks(len(upper)):
-            a, b = lower[rows], upper[rows]
-            np.sqrt(sum(  # 0 + x*x + y*y + z*z, as _dot adds
-                (np.take(column, a) - np.take(column, b)) ** 2
-                for column in columns), out=lengths[rows])
+        for rows, (a, b) in _gather(positions, lower, upper):
+            lengths[rows] = _norm(a - b)
         mean = float(lengths.mean())
     _check_overflow(mean, "mean edge length")
     return mean
@@ -444,12 +440,12 @@ def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:
     """Vertex/face/boundary counts plus the mean edge length."""
     edges, counts = unique_edges(mesh.faces, return_counts=True)
-    boundary_vertices = np.unique(edges[counts == 1])
+    boundary = np.count_nonzero(np.bincount(edges[counts == 1].ravel()))
     return MeshStats(
         mean_edge_length=_mean_length(mesh.vertices, *edges.T),
         vertex_count=mesh.vertex_count,
         face_count=mesh.face_count,
-        boundary_vertex_count=int(len(boundary_vertices)),
+        boundary_vertex_count=int(boundary),
     )
 
 

@@ -18,7 +18,7 @@ from .curvature import CurvatureField, _block_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import (TriangleMesh, _angle, _face_corners, _norm, _releases_memory,
+from .mesh import (TriangleMesh, _angle, _gather, _norm, _releases_memory,
                    build_topology)
 
 _KLD_EPS = 1e-12
@@ -52,8 +52,8 @@ def _msae(processed: TriangleMesh, original: TriangleMesh):
         raise ConnectivityMismatch("meshes differ in face connectivity")
     angles = np.empty(len(faces))
     used = 0
-    for (_, p), (_, q) in zip(_face_corners(processed.vertices, faces),
-                              _face_corners(original.vertices, faces)):
+    for (_, p), (_, q) in zip(_gather(processed.vertices, *faces.T),
+                              _gather(original.vertices, *faces.T)):
         (a, double_a), (b, double_b) = _block_normals(p), _block_normals(q)
         ok = (double_a > 0) & (double_b > 0)
         k = int(ok.sum())

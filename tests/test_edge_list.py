@@ -162,3 +162,39 @@ def test_filter_with_another_topology_exit_code(tmp_path, capsys, monkeypatch, o
                      "--trace", str(trace)]) == 3
     assert "topology" in capsys.readouterr().err
     assert not out.exists() and not trace.exists()
+
+
+_CHECKED = {"gaussian_curvature": lambda m, t: g.gaussian_curvature(m, t),
+            "laplacian_smooth": lambda m, t: g.laplacian_smooth(m, t, 1),
+            "taubin_smooth": lambda m, t: g.taubin_smooth(m, t, 1)}
+
+
+@pytest.mark.parametrize("name", _CHECKED)
+def test_curvature_and_smoothers_check_their_topology(sphere, name):
+    """Reversed faces and permuted vertices are a ConnectivityMismatch, and
+    a vertex count other than the topology's is a CountMismatch."""
+    mesh, topology, _ = sphere
+    call = _CHECKED[name]
+    with pytest.raises(ConnectivityMismatch):
+        call(g.TriangleMesh(mesh.vertices, mesh.faces[:, ::-1]), topology)
+    with pytest.raises(CountMismatch):
+        call(g.TriangleMesh(np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), mesh.faces),
+             topology)
+    with pytest.raises(CountMismatch):
+        call(g.icosphere(2), g.build_topology(g.icosphere(1)))
+    perm = np.random.default_rng(0).permutation(mesh.vertex_count)
+    inverse = np.argsort(perm)
+    with pytest.raises(ConnectivityMismatch):
+        call(g.TriangleMesh(mesh.vertices[perm], inverse[mesh.faces]), topology)
+
+
+@pytest.mark.parametrize("name", _CHECKED)
+def test_curvature_and_smoothers_take_equal_faces_in_another_array(sphere, name):
+    mesh, topology, _ = sphere
+    copy = g.TriangleMesh(mesh.vertices.copy(), mesh.faces.copy())
+    a, b = (_CHECKED[name](m, topology) for m in (mesh, copy))
+    if name == "gaussian_curvature":
+        a, b = a.curvature, b.curvature
+    else:
+        a, b = a.vertices, b.vertices
+    assert a.tobytes() == b.tobytes()

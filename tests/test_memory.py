@@ -113,3 +113,13 @@ def test_edge_list_bytes_per_vertex(meshes):
     _, _, topology = meshes
     kept = topology.upper_flat.nbytes + topology.upper_sizes.nbytes
     assert kept / topology.vertex_count <= 16
+
+
+def test_vertex_normals_peak_bytes_per_face(meshes, monkeypatch):
+    """vertex_normals weights and adds each block's normals as it gathers
+    them, without the whole-mesh (f, 3) normals of face_normals: at most
+    40 B a face, where taking those arrays peaked at 46."""
+    monkeypatch.setattr(mesh, "_FACE_BLOCK", mesh._FACE_BLOCK // 4)
+    _, noisy, topology = meshes
+    peak = _peak(lambda: g.vertex_normals(noisy, topology))
+    assert peak / noisy.face_count <= 40

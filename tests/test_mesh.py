@@ -246,3 +246,14 @@ def test_angle_of_zero_against_negative_vector_is_zero():
     angle, sine = _angle(np.zeros((1, 3)), -np.ones((1, 3)))
     assert _bitwise(angle, np.array([0.0]))
     assert _bitwise(sine, np.array([0.0]))
+
+
+def test_mesh_stats_boundary_count_is_a_python_int_and_ignores_winding():
+    # the count goes into the `stats` JSON, which refuses numpy integers
+    grid = g.grid(40)
+    faces = grid.faces.copy()
+    faces[::2] = faces[::2, ::-1]
+    flipped = mesh_stats(TriangleMesh(grid.vertices, faces))
+    assert type(flipped.boundary_vertex_count) is int
+    assert flipped == mesh_stats(grid)
+    assert flipped.boundary_vertex_count == 160

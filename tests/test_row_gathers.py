@@ -4,6 +4,7 @@ fancy-indexing formulations it replaced (`positions[faces[:, c]]`,
 them bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import gcfmesh as g
@@ -118,3 +119,21 @@ def test_take_gathers_equal_fancy_indexing_bitwise(mesh, seed, fortran):
 def test_grid_has_frozen_boundary_rows():
     # the property above checks frozen rows on grid(6); make sure it has some
     assert build_topology(g.grid(6)).is_boundary.sum() == 24
+
+
+@pytest.mark.parametrize("k", range(len(_MESHES)))
+def test_gathers_of_a_strided_view_equal_fancy_indexing_bitwise(k):
+    """Positions that are neither C- nor column-major (three columns of a
+    wider array) give the fancy-indexing results bit for bit."""
+    mesh = _MESHES[k]
+    topo = build_topology(mesh)
+    v = g.add_noise(mesh, topo, g.NoiseConfig(0.3, seed=k)).vertices
+    big = np.random.default_rng(k).standard_normal((len(v), 5))
+    big[:, 1:4] = v
+    view = big[:, 1:4]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    field = curvature_field(view, mesh.faces, topo.is_boundary)
+    assert (_bits(field.curvature, field.ring_area, field.deficit)
+            == _bits(*_curvature_field(v, mesh.faces)))
+    assert (_bits(g.mean_edge_length(view, mesh.faces))
+            == _bits(_mean_edge_length(v, mesh.faces)))
