@@ -30,7 +30,7 @@ from .errors import (FaceIndexError, FormatCapabilityError, MeshError,
 from .filtering import FilterConfig, gcf_filter
 from .generate import generate_mesh
 from .io import _output_format, _write_rows, load_mesh, save_mesh
-from .mesh import _pin_heap_thresholds, build_topology, mesh_stats
+from .mesh import _pin_heap_thresholds, _trim_heap, build_topology, mesh_stats
 from .metrics import metrics_report
 from .noise import NoiseConfig, add_noise
 
@@ -64,10 +64,12 @@ class _Run:
         self.fields = {}
 
     def timed(self, phase, fn, *args, **kwargs):
-        """fn(*args, **kwargs), with its wall time recorded under `phase`."""
+        """fn(*args, **kwargs), with its wall time recorded under `phase`;
+        then the heap pages the phase freed go back to the OS."""
         start = time.perf_counter()
         result = fn(*args, **kwargs)
         self.timings[phase] = time.perf_counter() - start
+        _trim_heap()
         return result
 
     @cached_property

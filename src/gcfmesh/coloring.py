@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshTopology, _releases_memory
+from .mesh import MeshTopology
 
 _CHUNK = 4096  # vertices whose rings are converted to Python ints at once
 
@@ -33,7 +33,6 @@ class DomainColoring:
         return len(self.domains)
 
 
-@_releases_memory
 def greedy_domain_decomposition(topology: MeshTopology) -> DomainColoring:
     """Color vertices greedily so no edge joins two same-colored vertices."""
     n = topology.vertex_count

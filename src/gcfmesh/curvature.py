@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import (MeshTopology, TriangleMesh, _check_match, _check_overflow, _cross3,
-                   _dot, _gather, _norm, _releases_memory, _unit)
+                   _dot, _gather, _norm, _unit)
 
 
 @dataclass(eq=False)
@@ -145,7 +145,6 @@ def curvature_field(positions: np.ndarray, faces: np.ndarray,
     return CurvatureField(curvature, ring_area, deficit, is_boundary)
 
 
-@_releases_memory
 def gaussian_curvature(mesh: TriangleMesh, topology: MeshTopology) -> CurvatureField:
     """Discrete Gaussian curvature of every vertex (boundary vertices flagged)."""
     _check_match(mesh.vertices, topology, mesh.faces)

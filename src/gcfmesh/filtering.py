@@ -50,6 +50,7 @@ take exact minima, so they agree bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .errors import DegenerateMeshError
 from .mesh import (MeshTopology, TriangleMesh, _check_finite, _check_match, _check_overflow,
-                   _cross3, _mean_length, _movable, _norm, _releases_memory, _unit)
+                   _cross3, _mean_length, _movable, _norm, _trim_heap, _unit)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -70,9 +71,19 @@ _PROJ = _BLOCK * 42    # projection entries of a full degree-6 block
 _LONG_RING = 40        # a ring axis longer than this is reduced in one numpy call
 
 
+def _check_count(name, value, least):
+    """The filter drivers' one rule for a count: an integer, not a bool, of
+    at least `least`, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass
 class FilterConfig:
-    """iterations is the filter's only shape parameter; threads=0 picks
+    """iterations (an integer >= 1) is the filter's only shape parameter;
+    threads (an integer >= 0) sets the worker count, and 0 picks
     os.cpu_count(); capture_trace records the interior curvature energy
     before the first and after every iteration."""
 
@@ -81,10 +92,8 @@ class FilterConfig:
     capture_trace: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
+        _check_count("iterations", self.iterations, 1)
+        _check_count("threads", self.threads, 0)
 
 
 @dataclass(eq=False)
@@ -204,6 +213,7 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
     sweep visits every domain in ascending label order. A domain's blocks
     are all computed, on the pool if there is one, before any of their rows
     is written back, so each reads the positions as the pass found them.
+    A pool is shut down and the heap trimmed once after the last sweep.
 
     Returns a FilterTrace of the interior curvature energy before the first
     and after every sweep when capture_trace is set, else None.
@@ -234,6 +244,7 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
     finally:
         if pool is not None:
             pool.shutdown()
+            _trim_heap()  # the exited workers' arenas keep their freed pages
     return FilterTrace(trace) if trace is not None else None
 
 
@@ -243,17 +254,17 @@ def _interior_energy(positions, topology):
     )
 
 
-@_releases_memory
 def gcf_step(positions: np.ndarray, topology: MeshTopology,
              coloring: DomainColoring, *, edge_scale: float | None = None,
              threads: int = 1) -> np.ndarray:
     """One filter sweep over all domains; returns new positions.
 
     edge_scale defaults to the mean edge length of the given positions and
-    anchors the degeneracy cutoffs. A NaN or infinite coordinate raises
-    NonFiniteError naming its vertex, and a vertex count other than the
-    topology's CountMismatch.
+    anchors the degeneracy cutoffs; threads follows FilterConfig's rule. A
+    NaN or infinite coordinate raises NonFiniteError naming its vertex, and
+    a vertex count other than the topology's CountMismatch.
     """
+    _check_count("threads", threads, 0)
     positions = np.array(positions, dtype=np.float64, order="F")
     _check_match(positions, topology)
     _check_finite(positions)
@@ -263,7 +274,6 @@ def gcf_step(positions: np.ndarray, topology: MeshTopology,
     return np.ascontiguousarray(positions)
 
 
-@_releases_memory
 def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
                coloring: DomainColoring, config: FilterConfig):
     """Apply the filter config.iterations times.
@@ -279,5 +289,4 @@ def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
     trace = _drive(positions, topology, coloring,
                    _mean_length(positions, *topology.edges),
                    config.threads, config.iterations, config.capture_trace)
-    # the trim runs after return: the working copy outlives its C-ordered copy
     return TriangleMesh(positions, mesh.faces.copy()), trace

@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     UnsupportedFormat,
 )
-from .mesh import TriangleMesh, _releases_memory
+from .mesh import TriangleMesh
 
 _FORMATS = ("obj", "off", "ply")
 _OFF_HEADERS = ("OFF", "COFF")
@@ -466,7 +466,6 @@ def _ply_header(lines, path):
 _LOADERS = {"obj": _load_obj, "off": _load_off, "ply": _load_ply}
 
 
-@_releases_memory
 def load_mesh(path, fmt: str = "auto") -> TriangleMesh:
     """Load a triangle mesh from an ASCII OBJ, OFF, or PLY file.
 
@@ -519,7 +518,6 @@ def _output_format(path, fmt: str = "auto") -> str:
     return fmt
 
 
-@_releases_memory
 def save_mesh(mesh: TriangleMesh, path, fmt: str = "auto",
               scalars=None, colors=None) -> None:
     """Write a mesh; `scalars` (per-vertex float) and `colors` (per-vertex

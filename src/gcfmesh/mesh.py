@@ -38,14 +38,17 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import (ConnectivityMismatch, CountMismatch, DegenerateMeshError,
                      EmptyMeshError, FaceIndexError, NonFiniteError)
 
-try:  # glibc only: malloc_trim hands freed heap pages back to the OS
+# glibc only: malloc_trim hands freed heap pages back to the OS. Only the
+# command line (after each phase) and the filter (after its worker pool)
+# trim; a one-thread library call leaves its freed pages for the next.
+try:
     _libc = ctypes.CDLL(None)
     _trim_heap = partial(_libc.malloc_trim, 0)
     _mallopt = _libc.mallopt
@@ -63,20 +66,6 @@ def _pin_heap_thresholds():
     if _mallopt is not None:
         for param in (-3, -1):  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
             _mallopt(param, 32 << 20)
-
-
-def _releases_memory(fn):
-    """Trim the heap before and after `fn`: a large call then neither stacks
-    its peak on memory freed earlier nor leaves its temporaries resident."""
-    @wraps(fn)
-    def call(*args, **kwargs):
-        _trim_heap()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _trim_heap()
-
-    return call
 
 
 _FACE_BLOCK = 4096  # faces per block of the elementwise face, edge and half-edge passes
@@ -237,7 +226,6 @@ def _walk(done, first, nxt, counts, indptr, walk):
     return done
 
 
-@_releases_memory
 def build_topology(mesh: TriangleMesh) -> MeshTopology:
     """Build ordered 1-rings from the sorted corner half-edge table.
 

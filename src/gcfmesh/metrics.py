@@ -18,8 +18,7 @@ from .curvature import CurvatureField, _block_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import (TriangleMesh, _angle, _gather, _norm, _releases_memory,
-                   build_topology)
+from .mesh import TriangleMesh, _angle, _gather, _norm, build_topology
 
 _KLD_EPS = 1e-12
 
@@ -63,7 +62,6 @@ def _msae(processed: TriangleMesh, original: TriangleMesh):
     return mean_deg, len(faces) - used
 
 
-@_releases_memory
 def msae(processed: TriangleMesh, original: TriangleMesh) -> float:
     """Mean angle between corresponding face normals, in degrees.
 

@@ -313,6 +313,36 @@ def test_config_validation():
         FilterConfig(iterations=1, threads=-1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"iterations": 2.5}, {"iterations": True}, {"iterations": "3"},
+    {"iterations": 1, "threads": 2.5}, {"iterations": 1, "threads": -3},
+    {"iterations": 1, "threads": None},
+])
+def test_config_counts_must_be_integers(kwargs):
+    with pytest.raises(ValueError, match="iterations|threads"):
+        FilterConfig(**kwargs)
+
+
+@pytest.mark.parametrize("threads", [-3, -1, 2.5, True, None])
+def test_step_threads_follow_the_config_rule(threads):
+    mesh = g.icosphere(1)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    with pytest.raises(ValueError, match="threads"):
+        gcf_step(mesh.vertices, topo, col, threads=threads)
+
+
+def test_numpy_integer_counts_are_accepted():
+    mesh = random_meshes()[0]
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    want, _ = gcf_filter(mesh, topo, col, FilterConfig(2, threads=1))
+    got, _ = gcf_filter(mesh, topo, col, FilterConfig(np.int64(2), threads=np.int32(1)))
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(gcf_step(mesh.vertices, topo, col, threads=np.int64(1)),
+                          gcf_step(mesh.vertices, topo, col, threads=1))
+
+
 def test_one_iteration_equals_one_step():
     mesh = random_meshes()[0]
     topo = build_topology(mesh)
