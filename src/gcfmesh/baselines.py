@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshTopology, TriangleMesh, _check_match, _movable, _scatter
+from .mesh import MeshTopology, TriangleMesh, _check_count, _check_match, _movable, _scatter
 
 
 def _smooth(mesh, topology, iterations, factors):
     """Run one umbrella pass per factor in `factors`, `iterations` times:
     every movable vertex moves by factor * (ring centroid - vertex)."""
-    if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+    _check_count("iterations", iterations, 0)
     _check_match(mesh.vertices, topology, mesh.faces)
     n = mesh.vertex_count
     deg = topology.ring_sizes

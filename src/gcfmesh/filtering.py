@@ -50,7 +50,6 @@ take exact minima, so they agree bit for bit.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,8 +59,8 @@ import numpy as np
 from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .errors import DegenerateMeshError
-from .mesh import (MeshTopology, TriangleMesh, _check_finite, _check_match, _check_overflow,
-                   _cross3, _mean_length, _movable, _norm, _trim_heap, _unit)
+from .mesh import (MeshTopology, TriangleMesh, _check_count, _check_finite, _check_match,
+                   _check_overflow, _cross3, _mean_length, _movable, _norm, _trim_heap, _unit)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -69,15 +68,6 @@ NORMAL_TOL = 1e-14     # times mean edge length squared
 _BLOCK = 4096          # rows per degree-6 kernel call; blocks are what threads share
 _PROJ = _BLOCK * 42    # projection entries of a full degree-6 block
 _LONG_RING = 40        # a ring axis longer than this is reduced in one numpy call
-
-
-def _check_count(name, value, least):
-    """The filter drivers' one rule for a count: an integer, not a bool, of
-    at least `least`, else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass

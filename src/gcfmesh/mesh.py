@@ -12,8 +12,8 @@ enter a second table with each ring edge in both directions, and a
 successor leaves the vertex where its half-edge ends without turning
 straight back. A fan that neither pass orders (a ring edge twice, a ring
 vertex on three ring edges, several sheets) is flagged non-manifold, with
-its sorted neighbor set as the ring. The same table gives the edge list,
-each vertex's neighbors above it, without another sort.
+its sorted neighbor set as the ring. `MeshTopology` takes the edge list,
+each vertex's neighbors above it, from those rings.
 
 The elementwise face, edge and half-edge passes here and in the curvature
 and metrics modules run one block of `_FACE_BLOCK` faces at a time
@@ -37,6 +37,7 @@ metrics, filter and baseline modules share.
 from __future__ import annotations
 
 import ctypes
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -170,7 +171,8 @@ class MeshTopology:
     is_manifold_fan : True iff the incident faces form a single open or
                       closed fan.
     upper_flat      : the int32 edge list: vertex i's neighbors above it,
-                      ascending, in upper_sizes[i] entries; unique_edges' rows.
+                      ascending, in upper_sizes[i] entries; unique_edges' rows,
+                      derived from the rings on construction.
 
     `neighbors` is built on first access. The structure is immutable after
     construction and safe to share across threads. `faces` keeps a
@@ -179,16 +181,26 @@ class MeshTopology:
     the filter needs only positions plus a topology.
     """
 
-    def __init__(self, faces, ring_flat, ring_indptr, is_boundary,
-                 is_manifold_fan, upper_flat, upper_sizes):
+    def __init__(self, faces, ring_flat, ring_indptr, is_boundary, is_manifold_fan):
         self.faces = faces
         self.ring_flat = ring_flat
         self.ring_indptr = ring_indptr
         self.is_boundary = is_boundary
         self.is_manifold_fan = is_manifold_fan
-        self.upper_flat = upper_flat
-        self.upper_sizes = upper_sizes
         self.ring_sizes = np.diff(ring_indptr)
+        # the edge list: the ring entries above their center, each row
+        # sorted by one sort of the int64 keys center * n + neighbor; the
+        # rows stay where they were, so taking center * n off leaves them
+        n = len(is_boundary)
+        center = np.repeat(np.arange(n, dtype=np.int32), self.ring_sizes)
+        above = np.flatnonzero(ring_flat > center)
+        center = np.take(center, above)
+        offset = np.multiply(center, n, dtype=np.int64)
+        key = offset + np.take(ring_flat, above)
+        key.sort(kind="stable")
+        key -= offset
+        self.upper_flat = key.astype(np.int32)
+        self.upper_sizes = np.bincount(center, minlength=n).astype(np.int32)
 
     @cached_property
     def neighbors(self):
@@ -270,24 +282,11 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     simple = counts > 0
     simple[center[1:][again]] = False  # a ring vertex starts twice
     simple[center[incoming > 1]] = False             # ... or ends twice
+    del key, again
     first = indptr[:-1].astype(index)
     heads = np.flatnonzero(incoming == 0)
     first[center[heads]] = heads
     del incoming, heads
-    # the edge list: a center's distinct starts above it, with its ends above
-    # it that no start matches merged in, so that each row stays sorted
-    loose = np.flatnonzero((nxt < 0) & (end > center))
-    ends = np.sort(center[loose].astype(np.int64) * n + end[loose], kind="stable")
-    ends = ends[np.diff(ends, prepend=-1) != 0]  # np.unique's result, faster on runs
-    at = np.searchsorted(key, ends)  # their rows in the (center, start) table, so
-    del key, loose                    # the int64 keys go before the index below
-    upper = np.flatnonzero(np.append(True, ~again) & (start > center))
-    del again
-    at = np.searchsorted(upper, at)
-    upper_flat = np.insert(np.take(start, upper), at, ends % n)
-    upper_sizes = np.bincount(np.take(center, upper), minlength=n).astype(np.int32)
-    upper_sizes += np.bincount(ends // n, minlength=n)
-    del upper, ends, at
     walk = np.empty(m, dtype=index)
     manifold = _walk(simple, first, nxt, counts, indptr, walk)
 
@@ -350,15 +349,17 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     walk = walk[manifold[center]]  # the walked half-edges, fan by fan
     del center
     ring_flat[walked] = np.take(start, walk)
-    return MeshTopology(
-        faces=faces,
-        ring_flat=ring_flat,
-        ring_indptr=ring_indptr,
-        is_boundary=is_boundary,
-        is_manifold_fan=manifold,
-        upper_flat=upper_flat,
-        upper_sizes=upper_sizes,
-    )
+    del start, walk, walked, rest  # before the edge list is sorted out of the rings
+    return MeshTopology(faces, ring_flat, ring_indptr, is_boundary, manifold)
+
+
+def _check_count(name, value, least):
+    """The one rule for a public count: an integer, not a bool, of at least
+    `least`, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _check_match(positions, topology, faces=None):

@@ -18,7 +18,7 @@ from .curvature import CurvatureField, _block_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import TriangleMesh, _angle, _gather, _norm, build_topology
+from .mesh import TriangleMesh, _angle, _check_count, _gather, _norm, build_topology
 
 _KLD_EPS = 1e-12
 
@@ -90,8 +90,7 @@ def curvature_histogram(field: CurvatureField, bins: int = 200,
     clip_percentile of |K| over interior vertices; out-of-range samples are
     clamped into the end bins.
     """
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    _check_count("bins", bins, 2)
     samples = field.curvature[~field.is_boundary]
     if len(samples) == 0:
         raise EmptyFieldError("no interior vertices to bin")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import vertex_normals
-from .mesh import MeshTopology, TriangleMesh, _check_match, _mean_length
+from .mesh import MeshTopology, TriangleMesh, _check_count, _check_match, _mean_length
 
 MODES = ("along_normal", "isotropic")
 
@@ -28,6 +28,7 @@ class NoiseConfig:
     def __post_init__(self):
         if not (np.isfinite(self.sigma_factor) and self.sigma_factor >= 0):
             raise ValueError("sigma_factor must be finite and >= 0")
+        _check_count("seed", self.seed, 0)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
