@@ -28,11 +28,11 @@ from .curvature import gaussian_curvature, gaussian_curvature_energy
 from .errors import (FaceIndexError, FormatCapabilityError, MeshError,
                      ParseError, UnsupportedFormat)
 from .filtering import FilterConfig, gcf_filter
-from .generate import generate_mesh
+from .generate import _GENERATORS, generate_mesh
 from .io import _output_format, _write_rows, load_mesh, save_mesh
 from .mesh import _pin_heap_thresholds, _trim_heap, build_topology, mesh_stats
 from .metrics import metrics_report
-from .noise import NoiseConfig, add_noise
+from .noise import MODES, NoiseConfig, add_noise
 
 # 20 visually distinct colors; label -> color is a bijection even past the
 # palette size thanks to the odd-multiplier hash fallback.
@@ -264,12 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.3,
                    help="standard deviation as a multiple of the mean edge length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("along_normal", "isotropic"),
-                   default="along_normal")
+    p.add_argument("--mode", choices=MODES, default="along_normal")
 
     p = command("gen", cmd_gen, "generate a procedural mesh", out, manifest)
-    p.add_argument("--kind", required=True,
-                   choices=("icosphere", "cylinder", "cone", "cube", "grid"))
+    p.add_argument("--kind", required=True, choices=tuple(_GENERATORS))
     for name, kind in _GEN_PARAMS.items():
         p.add_argument(f"--{name}", type=kind, default=None)
 

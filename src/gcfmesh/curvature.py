@@ -92,8 +92,10 @@ def vertex_normals(mesh: TriangleMesh, topology: MeshTopology):
 
     Returns (normals (n,3), degenerate (n,) bool); vertices whose weighted
     sum nearly cancels (magnitude <= 1e-14 * max face area) get a zero
-    normal and the flag. DegenerateMeshError if a magnitude overflows.
+    normal and the flag. DegenerateMeshError if a magnitude overflows;
+    CountMismatch or ConnectivityMismatch if topology is another mesh's.
     """
+    _check_match(mesh.vertices, topology, mesh.faces)
     max_area = 0.0
     # each block of faces adds its weighted normal to its three corners, in
     # face order and from +0.0, which is the order and the bits of np.bincount

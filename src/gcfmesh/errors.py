@@ -53,8 +53,8 @@ class TraceTooShort(MeshError):
     """Energy trace has too few entries for a convergence slope."""
 
 
-class BadResolution(MeshError):
-    """Mesh generator resolution below the supported minimum."""
+class BadResolution(MeshError, ValueError):
+    """A mesh generator's count is not an integer of at least its floor."""
 
 
 class NonFiniteError(MeshError):

@@ -204,10 +204,14 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
     are all computed, on the pool if there is one, before any of their rows
     is written back, so each reads the positions as the pass found them.
     A pool is shut down and the heap trimmed once after the last sweep.
+    Checks the coloring first; edge_scale None is the mean edge length.
 
     Returns a FilterTrace of the interior curvature energy before the first
     and after every sweep when capture_trace is set, else None.
     """
+    _check_match(coloring.color_of, topology)
+    if edge_scale is None:
+        edge_scale = _mean_length(positions, *topology.edges)
     if not (np.isfinite(edge_scale) and edge_scale > 0):
         cause = ("do all vertices coincide, or are the coordinates too small "
                  "to square?" if np.isfinite(edge_scale)
@@ -252,14 +256,12 @@ def gcf_step(positions: np.ndarray, topology: MeshTopology,
     edge_scale defaults to the mean edge length of the given positions and
     anchors the degeneracy cutoffs; threads follows FilterConfig's rule. A
     NaN or infinite coordinate raises NonFiniteError naming its vertex, and
-    a vertex count other than the topology's CountMismatch.
+    positions or a coloring not of the topology's vertex count CountMismatch.
     """
     _check_count("threads", threads, 0)
     positions = np.array(positions, dtype=np.float64, order="F")
     _check_match(positions, topology)
     _check_finite(positions)
-    if edge_scale is None:
-        edge_scale = _mean_length(positions, *topology.edges)
     _drive(positions, topology, coloring, edge_scale, threads, 1, False)
     return np.ascontiguousarray(positions)
 
@@ -271,12 +273,12 @@ def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
     Returns (filtered mesh, trace). The trace is None unless
     config.capture_trace is set; connectivity is shared unchanged and
     boundary/non-manifold vertices keep their exact input positions.
-    Output positions are identical for any worker count. A vertex count or
-    faces not the topology's raise CountMismatch or ConnectivityMismatch.
+    Output positions are identical for any worker count. A mesh or coloring
+    vertex count or faces not the topology's raise CountMismatch or
+    ConnectivityMismatch.
     """
     _check_match(mesh.vertices, topology, mesh.faces)
     positions = np.array(mesh.vertices, order="F")
-    trace = _drive(positions, topology, coloring,
-                   _mean_length(positions, *topology.edges),
-                   config.threads, config.iterations, config.capture_trace)
+    trace = _drive(positions, topology, coloring, None, config.threads,
+                   config.iterations, config.capture_trace)
     return TriangleMesh(positions, mesh.faces.copy()), trace

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadResolution
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, _check_count
 
 _ICO_T = (1.0 + np.sqrt(5.0)) / 2.0
 _ICO_VERTS = np.array([
@@ -66,8 +66,7 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0) -> TriangleMesh:
     into four; edge midpoints are numbered in order of first use, face by
     face and edge (a, b), (b, c), (c, a) within a face.
     """
-    if subdivisions < 0:
-        raise BadResolution("subdivisions must be >= 0")
+    _check_count("subdivisions", subdivisions, 0, BadResolution)
     verts = _on_sphere(_ICO_VERTS, radius)
     faces = np.array(_ICO_FACES)
     for _ in range(subdivisions):
@@ -84,14 +83,10 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0) -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def _revolution(segments, rings, radii, heights):
+def _revolution(segments, radii, heights):
     """(circles, bands, i, i1): a circle of `segments` vertices about the z
     axis per radius and height, bottom up, and the bands between them, each
     band's (a, b, c) triangles before its (a, c, d) ones; i1 follows i."""
-    if segments < 3:
-        raise BadResolution("segments must be >= 3")
-    if rings < 1:
-        raise BadResolution("rings must be >= 1")
     i = np.arange(segments)
     i1 = (i + 1) % segments
     theta = i * (2.0 * np.pi / segments)
@@ -109,9 +104,10 @@ def _revolution(segments, rings, radii, heights):
 def cylinder(segments: int = 32, rings: int = 16, radius: float = 1.0,
              height: float = 2.0) -> TriangleMesh:
     """Capped right circular cylinder; closed, outward winding."""
-    # max(): a negative count fails in linspace before _revolution's check
-    zs = np.linspace(-height / 2.0, height / 2.0, max(rings, 0) + 1)
-    circles, bands, i, i1 = _revolution(segments, rings, np.full(len(zs), radius), zs)
+    _check_count("segments", segments, 3, BadResolution)
+    _check_count("rings", rings, 1, BadResolution)
+    zs = np.linspace(-height / 2.0, height / 2.0, rings + 1)
+    circles, bands, i, i1 = _revolution(segments, np.full(len(zs), radius), zs)
     n = len(circles)  # the bottom centre; the top centre is n + 1
     top_row = n - segments
     verts = np.concatenate([circles, [(0.0, 0.0, zs[0]), (0.0, 0.0, zs[-1])]])
@@ -127,8 +123,10 @@ def cone(segments: int = 32, rings: int = 8, radius: float = 1.0,
     rings is the number of vertex circles between base rim and apex
     (inclusive of the rim).
     """
+    _check_count("segments", segments, 3, BadResolution)
+    _check_count("rings", rings, 1, BadResolution)
     j = np.arange(rings)
-    circles, bands, i, i1 = _revolution(segments, rings, radius * (rings - j) / rings,
+    circles, bands, i, i1 = _revolution(segments, radius * (rings - j) / rings,
                                         -height / 2.0 + j * height / rings)
     apex = len(circles)  # the base centre is apex + 1
     top_row = apex - segments
@@ -150,8 +148,7 @@ _CUBE_SIDES = [
 def cube(resolution: int = 4, size: float = 2.0) -> TriangleMesh:
     """Axis-aligned cube with a resolution x resolution grid per side,
     welded along edges and corners; closed, outward winding."""
-    if resolution < 1:
-        raise BadResolution("resolution must be >= 1")
+    _check_count("resolution", resolution, 1, BadResolution)
     r = resolution + 1
     ticks = np.linspace(-size / 2.0, size / 2.0, r)
     uu, vv = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
@@ -167,8 +164,7 @@ def cube(resolution: int = 4, size: float = 2.0) -> TriangleMesh:
 
 def grid(resolution: int = 8, spacing: float = 1.0) -> TriangleMesh:
     """Planar z=0 grid of resolution x resolution unit cells (open boundary)."""
-    if resolution < 1:
-        raise BadResolution("resolution must be >= 1")
+    _check_count("resolution", resolution, 1, BadResolution)
     n = resolution
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     verts = np.stack([

@@ -353,18 +353,18 @@ def build_topology(mesh: TriangleMesh) -> MeshTopology:
     return MeshTopology(faces, ring_flat, ring_indptr, is_boundary, manifold)
 
 
-def _check_count(name, value, least):
+def _check_count(name, value, least, error=ValueError):
     """The one rule for a public count: an integer, not a bool, of at least
-    `least`, else ValueError."""
+    `least`, else `error`: ValueError, or in the generators BadResolution."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
+        raise error(f"{name} must be an integer, not {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be >= {least}")
+        raise error(f"{name} must be >= {least}")
 
 
 def _check_match(positions, topology, faces=None):
-    """CountMismatch unless `positions` has a row per topology vertex, and
-    ConnectivityMismatch unless `faces`, if given, are the topology's."""
+    """CountMismatch unless `positions` (or a coloring's color_of) has a row
+    per topology vertex; ConnectivityMismatch unless `faces`, if given, match."""
     if len(positions) != topology.vertex_count:
         raise CountMismatch(f"{len(positions)} vertices, {topology.vertex_count} in the topology")
     if not (faces is None or faces is topology.faces or np.array_equal(faces, topology.faces)):

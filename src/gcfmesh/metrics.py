@@ -18,7 +18,8 @@ from .curvature import CurvatureField, _block_normals, gaussian_curvature, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
-from .mesh import TriangleMesh, _angle, _check_count, _gather, _norm, build_topology
+from .mesh import TriangleMesh, _angle, _check_count, _check_match, _gather, _norm, \
+    build_topology
 
 _KLD_EPS = 1e-12
 
@@ -152,15 +153,15 @@ def metrics_report(test: TriangleMesh, reference: TriangleMesh, *,
                    bins: int = 200, clip_percentile: float = 99.0) -> MetricsReport:
     """Full comparison of a processed mesh against its reference.
 
-    Requires identical connectivity (shared topology is built once from the
-    reference). gce and the histograms cover interior vertices of the test
-    mesh; kld is KL(test || reference).
+    The topology is built once from the reference; a test vertex count or
+    faces not the reference's raise CountMismatch or ConnectivityMismatch.
+    gce and the histograms cover interior vertices of the test mesh; kld is
+    KL(test || reference).
     """
-    if test.vertex_count != reference.vertex_count:
-        raise CountMismatch("vertex counts differ")
+    topology = build_topology(reference)
+    _check_match(test.vertices, topology, test.faces)
     msae_deg, excluded = _msae(test, reference)
     d_mean, d_max = vertex_distances(test, reference)
-    topology = build_topology(reference)
     field_ref = gaussian_curvature(reference, topology)
     field_test = gaussian_curvature(test, topology)
     hist_ref = curvature_histogram(field_ref, bins=bins,

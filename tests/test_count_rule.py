@@ -1,12 +1,14 @@
 """One rule for every public count: an integer, not a bool, of at least
 its floor, else ValueError with the count's name. The filter drivers' cases
 are in test_filtering.py; these are the baselines' iterations, the
-histogram's bins and the noise seed."""
+histogram's bins, the noise seed and the generators' counts, which raise
+BadResolution, a ValueError."""
 
 import numpy as np
 import pytest
 
 import gcfmesh as g
+from gcfmesh.errors import BadResolution
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +78,59 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys):
     assert code == 3
     assert "seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "n.obj").exists()
+
+
+def _call(make, *args, match):
+    return pytest.param(make, args, match,
+                        id=f"{make.__name__}({', '.join(map(repr, args))})")
+
+
+@pytest.mark.parametrize("make, args, match", [
+    _call(g.icosphere, 2.5, match="subdivisions"),
+    _call(g.icosphere, True, match="subdivisions"),
+    _call(g.cube, 2.0, match="resolution"),
+    _call(g.cube, True, match="resolution"),
+    _call(g.grid, True, match="resolution"),
+    _call(g.cylinder, 8, 2.0, match="rings"),
+    _call(g.cylinder, 3.5, 2, match="segments"),
+    _call(g.cone, 8, 2.0, match="rings"),
+])
+def test_generator_counts_must_be_integers(make, args, match):
+    with pytest.raises(BadResolution, match=f"{match} must be an integer"):
+        make(*args)
+
+
+@pytest.mark.parametrize("make, args, match", [
+    _call(g.icosphere, -1, match="subdivisions must be >= 0"),
+    _call(g.cylinder, 2, 4, match="segments must be >= 3"),
+    _call(g.cylinder, 8, -2, match="rings must be >= 1"),
+    _call(g.cone, 8, 0, match="rings must be >= 1"),
+    _call(g.cube, 0, match="resolution must be >= 1"),
+    _call(g.grid, 0, match="resolution must be >= 1"),
+])
+def test_generator_floors_raise_a_value_error(make, args, match):
+    with pytest.raises(ValueError, match=match) as raised:
+        make(*args)
+    assert isinstance(raised.value, BadResolution)
+
+
+@pytest.mark.parametrize("make, counts", [
+    (g.grid, (3,)),
+    (g.cylinder, (8, 2)),
+    (g.cone, (8, 3)),
+    (g.cube, (2,)),
+    (g.icosphere, (2,)),
+])
+def test_generators_take_numpy_integer_counts_bitwise(make, counts):
+    want = make(*counts)
+    for kind in (np.int64, np.int32):
+        got = make(*(kind(c) for c in counts))
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        assert got.faces.dtype == want.faces.dtype
+        assert got.faces.tobytes() == want.faces.tobytes()
+
+
+def test_cylinder_takes_mixed_numpy_integer_counts_bitwise():
+    got, want = g.cylinder(np.int64(8), np.int32(2)), g.cylinder(8, 2)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.tobytes() == want.faces.tobytes()

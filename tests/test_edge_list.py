@@ -198,3 +198,58 @@ def test_curvature_and_smoothers_take_equal_faces_in_another_array(sphere, name)
     else:
         a, b = a.vertices, b.vertices
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def sphere3():
+    mesh = g.icosphere(3)
+    return mesh, g.build_topology(mesh)
+
+
+@pytest.mark.parametrize("subdivisions", [2, 4])
+def test_a_coloring_of_another_vertex_count_is_a_mismatch(sphere3, subdivisions):
+    """icosphere(2)'s coloring (162 vertices) would filter a 642-vertex
+    mesh silently, and icosphere(4)'s (2562) would index past its end."""
+    mesh, topology = sphere3
+    coloring = g.greedy_domain_decomposition(
+        g.build_topology(g.icosphere(subdivisions)))
+    with pytest.raises(CountMismatch, match=f"{len(coloring.color_of)} vertices"):
+        g.gcf_filter(mesh, topology, coloring, g.FilterConfig(1))
+    with pytest.raises(CountMismatch):
+        g.gcf_step(mesh.vertices, topology, coloring)
+    with pytest.raises(CountMismatch):
+        g.gcf_step(mesh.vertices, topology, coloring, edge_scale=1.0)
+
+
+def test_a_single_domain_coloring_of_the_right_size_still_filters(sphere3):
+    mesh, topology = sphere3
+    noisy = g.add_noise(mesh, topology, g.NoiseConfig(0.3, seed=1))
+    out, _ = g.gcf_filter(noisy, topology, g.single_domain_coloring(mesh.vertex_count),
+                          g.FilterConfig(2))
+    assert out.vertex_count == mesh.vertex_count
+    assert np.isfinite(out.vertices).all()
+    assert not np.array_equal(out.vertices, noisy.vertices)
+
+
+def test_vertex_normals_check_their_topology(sphere):
+    mesh, topology, _ = sphere
+    with pytest.raises(CountMismatch):
+        g.vertex_normals(g.icosphere(3), topology)
+    with pytest.raises(CountMismatch):
+        g.vertex_normals(mesh, g.build_topology(g.icosphere(1)))
+    with pytest.raises(ConnectivityMismatch):
+        g.vertex_normals(g.TriangleMesh(mesh.vertices, mesh.faces[:, ::-1]), topology)
+    copy = g.TriangleMesh(mesh.vertices.copy(), mesh.faces.copy())
+    (a, _), (b, _) = (g.vertex_normals(m, topology) for m in (mesh, copy))
+    assert a.tobytes() == b.tobytes()
+
+
+def test_metrics_report_checks_the_vertex_count_before_the_faces():
+    with pytest.raises(CountMismatch):
+        g.metrics_report(g.grid(2), g.grid(3))
+    mesh = g.grid(3)
+    with pytest.raises(CountMismatch):
+        g.metrics_report(g.TriangleMesh(np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]),
+                                        mesh.faces[:, ::-1]), mesh)
+    with pytest.raises(ConnectivityMismatch):
+        g.metrics_report(g.TriangleMesh(mesh.vertices, mesh.faces[:, ::-1]), mesh)
