@@ -381,6 +381,14 @@ def _load_obj(lines, columns):
             columns.route(lines)
 
 
+def _row_count(token):
+    """The row count a header token gives; ValueError unless an integer >= 0."""
+    rows = int(token)
+    if rows < 0:
+        raise ValueError(f"negative count {rows}")
+    return rows
+
+
 def _load_off(lines, columns):
     path, tokens = columns.path, lines.next_row()
     if not tokens:
@@ -391,7 +399,7 @@ def _load_off(lines, columns):
     if not counts:
         raise ParseError("missing vertex/face counts", path, lines.lineno)
     try:
-        n_vert, n_face = int(counts[0]), int(counts[1])
+        n_vert, n_face = _row_count(counts[0]), _row_count(counts[1])
     except (ValueError, IndexError):
         raise ParseError(f"bad count line {counts!r}", path, lines.lineno)
     columns.vertex_layout((0, 1, 2), 3)
@@ -438,7 +446,7 @@ def _ply_header(lines, path):
             fmt_seen = True
         elif tokens[0] == "element":
             try:
-                elements.append((tokens[1], int(tokens[2]), []))
+                elements.append((tokens[1], _row_count(tokens[2]), []))
             except (IndexError, ValueError):
                 raise ParseError(f"bad element line {tokens!r}", path, lineno)
             if [e[0] for e in elements].count("vertex") > 1:

@@ -364,7 +364,9 @@ def _check_count(name, value, least, error=ValueError):
 
 def _check_match(positions, topology, faces=None):
     """CountMismatch unless `positions` (or a coloring's color_of) has a row
-    per topology vertex; ConnectivityMismatch unless `faces`, if given, match."""
+    per topology vertex; ConnectivityMismatch unless `faces`, if given, match.
+    Only `topology.vertex_count` and `topology.faces` are read, so a mesh
+    can stand in for its topology."""
     if len(positions) != topology.vertex_count:
         raise CountMismatch(f"{len(positions)} vertices, {topology.vertex_count} in the topology")
     if not (faces is None or faces is topology.faces or np.array_equal(faces, topology.faces)):
@@ -441,17 +443,23 @@ def mesh_stats(mesh: TriangleMesh) -> MeshStats:
 def _cross3(a, b, out=None):
     """Component-wise cross product along the last axis (length 3).
 
-    Equivalent to np.cross but without its dtype/axis plumbing, which
-    dominates kernel time on large blocks. The result goes to `out` if
-    given, else to a new array laid out like `a` (a and b have one shape).
+    Bitwise np.cross but without its dtype/axis plumbing, which dominates
+    kernel time on large blocks. The result goes to `out` if given, else to
+    a new array laid out like `a` (a and b have one shape): each component's
+    first product is written into `out` and the second, its one temporary,
+    subtracted in place. `out` must not overlap a or b.
     """
     if out is None:
         out = np.empty_like(a, dtype=np.float64)
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
+    x, y, z = out[..., 0], out[..., 1], out[..., 2]
+    np.multiply(a1, b2, out=x)
+    x -= a2 * b1
+    np.multiply(a2, b0, out=y)
+    y -= a0 * b2
+    np.multiply(a0, b1, out=z)
+    z -= a1 * b0
     return out
 
 

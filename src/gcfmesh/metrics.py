@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureField, _block_normals, gaussian_curvature, \
+from .curvature import CurvatureField, _block_normals, curvature_field, \
     gaussian_curvature_energy
 from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
     EmptyFieldError, TraceTooShort
 from .mesh import TriangleMesh, _angle, _check_count, _check_match, _gather, _norm, \
-    build_topology
+    build_topology, unique_edges
 
 _KLD_EPS = 1e-12
 
@@ -153,17 +153,23 @@ def metrics_report(test: TriangleMesh, reference: TriangleMesh, *,
                    bins: int = 200, clip_percentile: float = 99.0) -> MetricsReport:
     """Full comparison of a processed mesh against its reference.
 
-    The topology is built once from the reference; a test vertex count or
-    faces not the reference's raise CountMismatch or ConnectivityMismatch.
-    gce and the histograms cover interior vertices of the test mesh; kld is
-    KL(test || reference).
+    A test vertex count or faces not the reference's raise CountMismatch or
+    ConnectivityMismatch. gce and the histograms cover interior vertices of
+    the test mesh; kld is KL(test || reference). The boundary flags come
+    from the reference's topology, which is built only when some edge lies
+    on a single face: an open fan ends on such an edge, so without one no
+    vertex is on the boundary.
     """
-    topology = build_topology(reference)
-    _check_match(test.vertices, topology, test.faces)
+    _check_match(test.vertices, reference, test.faces)
+    _, counts = unique_edges(reference.faces, return_counts=True)
+    if (counts == 1).any():
+        is_boundary = build_topology(reference).is_boundary
+    else:
+        is_boundary = np.zeros(reference.vertex_count, dtype=bool)
     msae_deg, excluded = _msae(test, reference)
     d_mean, d_max = vertex_distances(test, reference)
-    field_ref = gaussian_curvature(reference, topology)
-    field_test = gaussian_curvature(test, topology)
+    field_ref = curvature_field(reference.vertices, reference.faces, is_boundary)
+    field_test = curvature_field(test.vertices, test.faces, is_boundary)
     hist_ref = curvature_histogram(field_ref, bins=bins,
                                    clip_percentile=clip_percentile)
     hist_test = curvature_histogram(field_test, bin_edges=hist_ref.bin_edges)

@@ -12,7 +12,9 @@ readers were mended since:
 - an OFF header line with one or two counts is read as the count line
   (these readers read the next line instead);
 - an OBJ index outside the int64 range is a ParseError (these readers
-  accept 2**63 and end with a FaceIndexError).
+  accept 2**63 and end with a FaceIndexError);
+- a negative OFF vertex or face count, or PLY element count, is a
+  ParseError on its line (these readers read no rows for it).
 """
 
 from array import array

@@ -114,7 +114,13 @@ def _mended(suffix, text):
     rows = [t for t in (line.split() for line in text.split("\n"))
             if t and not t[0].startswith("#")]
     if suffix == "off":
-        return bool(rows) and 2 <= len(rows[0]) <= 3
+        if rows and 2 <= len(rows[0]) <= 3:
+            return True
+        counts = rows[0][1:3] if rows and len(rows[0]) > 3 else (rows + [[], []])[1][:2]
+        try:
+            return min(map(int, counts)) < 0  # the reference reads no rows for it
+        except ValueError:
+            return False
     if suffix != "ply":
         return False
     element = None
@@ -124,6 +130,8 @@ def _mended(suffix, text):
         if tokens[0] == "element" and len(tokens) > 2:
             element = [tokens[1], []]
             try:
+                if int(tokens[2]) < 0:
+                    return True  # the reference reads no rows for it
                 if tokens[1] not in ("vertex", "face") and int(tokens[2]) > 10**6:
                     return True  # skipping past the end takes that many rows
             except ValueError:
@@ -219,6 +227,34 @@ def test_obj_index_outside_int64_is_parse_error(tmp_path, index):
     assert err.value.line == 4
     with pytest.raises(FaceIndexError):
         line_reader.load_mesh_attributes(p)
+
+
+_TRIANGLE_ROWS = "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    ("OFF\n3 -1 0\n" + _TRIANGLE_ROWS, 2),
+    ("OFF\n-3 1 0\n" + _TRIANGLE_ROWS, 2),
+    ("OFF 3 -1 0\n" + _TRIANGLE_ROWS, 1),
+    (_PLY_SQUARE.replace("face 2", "face -1").format(
+        "property list uchar int vertex_indices\n", "3 0 1 2\n"), 7),
+    (_PLY_SQUARE.replace("vertex 4", "vertex -4").format(
+        "property list uchar int vertex_indices\n", "3 0 1 2\n"), 3),
+], ids=["off-faces", "off-vertices", "off-header-line", "ply-faces", "ply-vertices"])
+def test_negative_count_is_parse_error_on_its_line(tmp_path, text, line):
+    p = tmp_path / ("m.ply" if text.startswith("ply") else "m.off")
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == line
+    assert _outcome(load_mesh_attributes, p) != _outcome(line_reader.load_mesh_attributes, p)
+
+
+def test_negative_face_count_dropped_the_faces_in_the_reference(tmp_path):
+    p = tmp_path / "m.off"
+    p.write_text("OFF\n3 -1 0\n" + _TRIANGLE_ROWS)
+    mesh, _, _ = line_reader.load_mesh_attributes(p)
+    assert (mesh.vertex_count, mesh.face_count) == (3, 0)
 
 
 # --- Error order across columns and chunks ----------------------------------
