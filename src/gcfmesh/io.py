@@ -1,18 +1,12 @@
 """ASCII OBJ / OFF / PLY readers and writers.
 
-Every reader takes its lines from `_Lines`, which decodes UTF-8 with
-undecodable bytes replaced and skips blank and `#` lines in all three
-formats. A reader routes each row's tokens into the columns of a `_Columns`,
-which converts each column to a flat typed array (float64 coordinates and
-quality, int64 colors and indices) once per chunk of rows; an OBJ chunk of
-only `v x y z` and `f i j k` lines converts from one split, or if only
-`f i j k` lines of ASCII digits from one np.fromstring call. Faces become a
-CSR pair of flat indices and per-row sizes. Polygons are fan-triangulated
-and triangles that repeat a vertex dropped, each with a warning, so loaded
-meshes satisfy the TriangleMesh invariants. A `COFF` file reads as OFF with
-its color columns ignored. Writers emit LF line endings and full double
-precision. Only PLY carries optional per-vertex attributes: a float
-`quality` scalar channel and uchar `red`/`green`/`blue` colors.
+Headers come from `_Lines`, bodies from `_read_rows` a piece of whole lines
+at a time, rows alike in bulk and others row by row. All three formats skip
+blank and `#` lines and decode UTF-8 with undecodable bytes replaced. Faces
+are fan-triangulated and triangles that repeat a vertex dropped, each with
+a warning. A `COFF` file reads as OFF with its color columns ignored.
+Writers emit LF line endings and full double precision. Only PLY carries
+per-vertex attributes: a float `quality` channel and uchar colors.
 """
 
 from __future__ import annotations
@@ -41,18 +35,14 @@ _CHUNK_ROWS = 4096
 
 
 class _Lines:
-    """The lines of an open text file `fh` as (text, lineno) pairs in `numbered`.
-
-    A row is a line that is neither blank nor a `#` comment. `lineno` is the
-    number of the last line read; a reader that runs out of lines sees empty
-    rows, numbered on as readline would.
-    """
+    """The lines of an open text file `fh` as (text, lineno) pairs in
+    `numbered`; `lineno` is the number of the last line read."""
 
     def __init__(self, fh):
         self.fh, self.lineno, self.numbered = fh, 0, zip(fh, count(1))
 
     def next_row(self):
-        """The tokens of the next row, or [] past the end."""
+        """The tokens of the next line not blank nor a `#` comment, or [] past the end."""
         for text, self.lineno in self.numbered:
             tokens = text.split()
             if tokens and tokens[0][0] != "#":
@@ -66,9 +56,8 @@ def _open(path):
 
 
 def _parse(tokens, dtype):
-    """(values, bad): `tokens` converted by one np.array call, which applies
-    Python's own float() or int() to each. If a token fails, `values` holds
-    those before it and `bad` is its index; otherwise `bad` is None."""
+    """(values, bad): `tokens` converted by one np.array call, which applies Python's
+    float() or int() to each, or the values before `bad`, the first that fails."""
     try:
         return np.array(tokens, dtype=dtype), None
     except (ValueError, OverflowError):
@@ -81,16 +70,17 @@ def _parse(tokens, dtype):
 
 
 def _digit_faces(text, n):
-    """The indices of `text`, `n` OBJ rows `f i j k` of ASCII digits, from one
-    np.fromstring call, which reads `f` (only the keys) as 0 and an index past
-    int64 as 2**63 - 1; None unless they are 3 a row, each in 1..2**63 - 2."""
-    if text.count("f") != n or text.encode().translate(None, b"0123456789 \nf"):
+    """The rows of `text`, `n` lines that each start with `f ` and hold no
+    other `f`, as an (n, tokens a row) int64 array from one np.fromstring call
+    with -1 for each `f`, which proves the rows alike; None unless they hold
+    ASCII digits alone after it, none past int64 (read as 2**63 - 1)."""
+    if text.encode().translate(None, b"0123456789 \nf"):
         return None
-    rows = np.fromstring(text.replace("f", "0"), sep=" ", dtype=np.int64)
-    if len(rows) != 4 * n or rows[::4].any():
+    rows = np.fromstring(text.replace("f", "-1"), sep=" ", dtype=np.int64)
+    width = len(rows) // n
+    if len(rows) != width * n or (rows[::width] != -1).any() or rows.max() >= 2**63 - 1:
         return None
-    flat = rows.reshape(n, 4)[:, 1:].ravel()
-    return flat if flat.min() >= 1 and flat.max() < 2**63 - 1 else None
+    return rows.reshape(n, width)
 
 
 def _row_of(sizes, i):
@@ -99,27 +89,16 @@ def _row_of(sizes, i):
 
 
 class _Columns:
-    """The vertex and face rows of one file, held as columns of tokens and
-    converted to typed arrays one chunk of at most _CHUNK_ROWS rows at a time.
-
-    `route` splits lines and appends the tokens a row needs (x y z, quality,
-    red green blue; a face's index count and the indices after it) to one
-    string list per column, and the row's line to another; a row too short
-    for its columns ends the routing. `flush` converts each column with one
-    np.array call, which applies Python's own float() or int() to each token,
-    so the values are bitwise those of a per-token parse, and raises
-    ParseError on the first bad row of either kind in file order. `regular`
-    converts a chunk of OBJ rows from one split once it proves the rows regular.
-    """
+    """The vertex and face rows of one file as columns of tokens (x y z, quality,
+    red green blue; a face's index count and indices) and of line numbers, which
+    `route` fills a row at a time and `regular` from slices of one split. `flush`
+    converts them and raises ParseError on the first bad row in file order."""
 
     def __init__(self, path, obj=False):
-        """`obj`: OBJ rules for faces: a face's count is the number of tokens
-        after `f`, and an index is 1-based, or negative to count back from
-        the vertices read so far."""
-        self.path, self._obj, self._width = path, obj, 0
-        self._get_xyz = self._get_quality = self._get_rgb = None
-        # converted chunks go into buffers that grow in place, so the end
-        # of the load makes no second copy of a whole column
+        """`obj`: OBJ faces: a count is the tokens after `f`, and an index is
+        1-based, or negative to count back from the vertices read so far."""
+        self.path, self._obj, self._width, self._layout = path, obj, 0, (None,) * 3
+        # buffers that grow in place, so the load copies no whole column
         self._vertices, self._quality, self._colors = array("d"), None, None
         self._flat, self._sizes = array("q"), array("q")
         self._vertex_total = 0  # vertex rows flushed so far
@@ -127,46 +106,35 @@ class _Columns:
         self.counts, self.spans, self.indices, self.face_lines = [], [], [], []
 
     def vertex_layout(self, xyz, width, quality=None, rgb=None):
-        """Vertex rows hold x, y, z (and the optional quality and colors) in
-        these columns and have at least `width` tokens."""
-        self._get_xyz, self._width = itemgetter(*xyz), width
-        if quality is not None:
-            self._get_quality, self._quality = itemgetter(quality), array("d")
-        if rgb is not None:
-            self._get_rgb, self._colors = itemgetter(*rgb), array("q")
+        """Vertex rows hold x, y, z (quality, colors) there, in `width` tokens or more."""
+        self._layout, self._width = (xyz, None if quality is None else [quality], rgb), width
+        self._quality = None if quality is None else array("d")
+        self._colors = None if rgb is None else array("q")
 
-    def route(self, lines, key=None, rows=None, count=0):
-        """Route the next `rows` rows of `lines` (to the end if None), each a
-        vertex row if `key` is "v", a face row if it is "f", skipped for any
-        other key, and if `key` is None as its first token says; then flush.
-        Face rows hold their index count in column `count`, then the indices;
-        with `obj`, `count` is the column of the `f` key. A vertex or face
-        section that the file ends before is a ParseError; the missing rows
-        of a skipped one still count toward the lines after it."""
-        obj, width, lineno = self._obj, self._width, lines.lineno
-        get_xyz, get_quality, get_rgb = self._get_xyz, self._get_quality, self._get_rgb
+    def route(self, lines, key, rows, count):
+        """Route the next `rows` rows of `lines` as `key` says ("v", "f", None
+        for each row's first token, any other to skip them), flush, and return
+        the rows left if `lines` runs out. A face row holds its index count in
+        column `count` (OBJ: the `f`), then the indices."""
+        width, lineno = self._width, lines.lineno
+        get_xyz, get_quality, get_rgb = (at and itemgetter(*at) for at in self._layout)
         xyz, quality, rgb, vertex_lines = self.xyz, self.quality, self.rgb, self.vertex_lines
         counts, spans, indices, face_lines = self.counts, self.spans, self.indices, self.face_lines
         # the last row is on line `stop`, one line later per blank or comment line
-        stop = float("inf") if rows is None else lineno + max(rows, 0)
-        chunk_end = lineno + _CHUNK_ROWS
-        limit, short = min(chunk_end, stop), None
-        for text, lineno in lines.numbered if stop > lineno else ():
+        stop, short = lineno + rows, None
+        for text, lineno in lines.numbered:
             tokens = text.split()
             if not tokens or tokens[0][0] == "#":
                 stop += 1
-                limit = min(chunk_end, stop)
                 continue
             kind = key or tokens[0]
             if kind == "f":
                 if len(tokens) <= count:
                     short = lineno, f"face row without a count {tokens!r}"
                     break
-                row = tokens[count + 1:]
-                if not obj:
-                    counts.append(tokens[count])
-                spans.append(len(row))
-                indices += row
+                counts.append(tokens[count])
+                spans.append(len(tokens) - count - 1)
+                indices += tokens[count + 1:]
                 face_lines.append(lineno)
             elif kind == "v":
                 if len(tokens) < width:
@@ -178,59 +146,65 @@ class _Columns:
                 if get_rgb:
                     rgb += get_rgb(tokens)
                 vertex_lines.append(lineno)
-            if lineno >= limit:
-                if lineno >= stop:
-                    break
-                self.flush()
-                chunk_end = lineno + _CHUNK_ROWS
-                limit = min(chunk_end, stop)
-        else:
-            if key in ("v", "f") and stop > lineno:
-                short = lineno + 1, "unexpected end of file"
-            elif key and stop > lineno:  # rows skipped past the end count on
-                lineno = stop
+            if lineno >= stop:
+                break
         lines.lineno = lineno
         self.flush(short)
+        return stop - lineno
 
-    def regular(self, text, lines):
-        """Convert `text`, whole OBJ lines after `lines`, from one split and move `lines`
-        past it if it is `v x y z` rows, then `f i j k` rows with indices >= 1. A key
-        on every line, 4 tokens a line, a key every 4th and numbers between align rows;
-        `f i j k` rows alone in ASCII digits convert from one np.fromstring call."""
-        key = text[:2]
-        if "/" in text or "#" in text or key not in ("v ", "f "):  # cheap checks first
+    def regular(self, lines, text, n, kind, count, whole):
+        """Route `text`, the `n` lines after `lines`, in bulk if they are rows
+        of `kind` ("v" or "f") of one width, and say whether it did. OFF and
+        PLY lines get `kind` in front as the key OBJ lines carry: each line
+        must start with it, no other token be it, and one split hold it every
+        `width` tokens, whose slices are the columns `route` would fill. A
+        `whole` piece of triangles of ASCII digits converts by _digit_faces."""
+        obj = self._obj
+        if "#" in text or not obj and kind in text:  # comment lines go row by row
             return False
-        n = text.count("\n") + 1
-        starts = text.count("\n" + key) + 1  # lines that start with `key`
-        if key == "v " and starts < n:  # vertex rows, then face rows
-            starts += text.count("\nf ")
-        if starts != n:
+        if not obj:
+            text = f"{kind} " + text.replace("\n", f"\n{kind} ")
+        elif (text.count(kind) != n or not text.startswith(kind + " ")
+                or text.count(f"\n{kind} ") != n - 1):
             return False
-        rows, xyz = 0, np.empty(0)
-        flat = _digit_faces(text, n) if key == "f " else None
-        if flat is None:
-            tokens = text.split()
-            rows = tokens[::4].count("v")  # vertex rows, which must come first
-            if len(tokens) != 4 * n or tokens[4 * rows::4].count("f") != n - rows:
-                return False
-            del tokens[::4]
-            try:
-                xyz = np.array(tokens[:3 * rows], dtype=np.float64)
-                flat = np.array(tokens[3 * rows:], dtype=np.int64)
-            except (ValueError, OverflowError):
-                return False
-            if (flat <= 0).any():  # 0 is an error, and a negative index counts back
-                return False
-        for out, values in ((self._vertices, xyz), (self._flat, flat - 1),
-                            (self._sizes, np.full(n - rows, 3, dtype=np.int64))):
-            out.frombytes(values.view(np.uint8))
-        self._vertex_total += rows
+        shift = 0 if obj else 1  # the key's column in front of the row's
+        at, first = count + shift, 1 - shift  # the count's column; the first index
+        rows = _digit_faces(text, n) if kind == "f" and whole else None
+        if (rows is not None and rows.shape[1] == at + 4 and rows[:, at + 1:].min() >= first
+                and (obj or (rows[:, at] == 3).all())):  # triangles that need no check
+            self._flat.frombytes((rows[:, at + 1:] - first).view(np.uint8))
+            self._sizes.frombytes(np.full(n, 3, dtype=np.int64).view(np.uint8))
+            lines.lineno += n
+            return True
+        tokens = text.split()
+        width = len(tokens) // n
+        short = width - shift < self._width if kind == "v" else width <= at
+        if len(tokens) != width * n or tokens[::width].count(kind) != n or short:
+            return False  # a short row is `route`'s to name
+
+        def take(columns):  # these columns of every row, row by row
+            if list(columns) == list(range(1, width)):  # no take follows: drop the keys
+                del tokens[::width]
+                return tokens
+            out = [None] * (n * len(columns))
+            for j, c in enumerate(columns):
+                out[j::len(columns)] = tokens[c::width]
+            return out
+
+        if kind == "v":
+            self.xyz, self.quality, self.rgb = (
+                places and take([c + shift for c in places]) for places in self._layout)
+            self.vertex_lines = range(lines.lineno + 1, lines.lineno + n + 1)
+        else:
+            self.counts, self.indices = take([at]), take(range(at + 1, width))
+            self.spans = np.full(n, width - at - 1)
+            self.face_lines = range(lines.lineno + 1, lines.lineno + n + 1)
+        self.flush()
         lines.lineno += n
         return True
 
     def arrays(self):
-        """(vertices (n, 3) float64, flat int64, sizes int64, quality float64
-        or None, colors (n, 3) int64 or None) of all rows routed."""
+        """(vertices (n, 3), flat, sizes, quality or None, colors or None)."""
         vertices, flat, sizes, quality, colors = (
             None if out is None else np.frombuffer(out, dtype=np.dtype(out.typecode))
             for out in (self._vertices, self._flat, self._sizes, self._quality, self._colors))
@@ -240,47 +214,39 @@ class _Columns:
     def flush(self, short=None):
         """Convert and clear the pending rows. Raise ParseError on the first
         bad one, or else on `short`, a (line, message) after them."""
-        bad = [e for e in (self._vertex_rows(), self._face_rows(), short) if e]
+        bad = [e for e in (self.vertex_lines and self._vertex_rows(),
+                           self.face_lines and self._face_rows(), short) if e]
         if bad:
             line, message = min(bad, key=itemgetter(0))
             raise ParseError(message, self.path, line)
         self._vertex_total += len(self.vertex_lines)
-        for column in (self.xyz, self.quality, self.rgb, self.vertex_lines,
-                       self.counts, self.spans, self.indices, self.face_lines):
-            column.clear()
+        self.xyz, self.quality, self.rgb, self.vertex_lines = [], [], [], []
+        self.counts, self.spans, self.indices, self.face_lines = [], [], [], []
 
     def _vertex_rows(self):
-        """Convert the pending vertex rows; (line, message) of the first bad
-        one, or None."""
-        errors = []  # (row, message) of the first bad row of each column
-
-        def column(tokens, dtype, width, what):
-            values, bad = _parse(tokens, dtype)
-            if bad is not None:
-                row = bad // width
-                errors.append((row, f"bad {what} {tokens[row * width:(row + 1) * width]!r}"))
-            return values
-
-        xyz = column(self.xyz, np.float64, 3, "vertex")
-        if self._get_quality:
-            quality = column(self.quality, np.float64, 1, "quality")
-        if self._get_rgb:
-            rgb = column(self.rgb, np.int64, 3, "color")
-            outside = np.flatnonzero(((rgb < 0) | (rgb > 255)))
-            if outside.size:
-                errors.append((outside[0] // 3, "color outside 0..255"))
+        """Convert the pending vertex rows; (line, message) of the first bad, or None."""
+        errors, converted = [], []  # (row, message) of the first bad row of each column
+        for tokens, out, what in ((self.xyz, self._vertices, "vertex"),
+                                  (self.quality, self._quality, "quality"),
+                                  (self.rgb, self._colors, "color")):
+            if out is not None:
+                width = len(tokens) // len(self.vertex_lines)  # tokens a row
+                values, bad = _parse(tokens, np.dtype(out.typecode))
+                if bad is not None:
+                    row = bad // width
+                    errors.append((row, f"bad {what} {tokens[row * width:(row + 1) * width]!r}"))
+                outside = np.flatnonzero((values < 0) | (values > 255)) if what == "color" else ()
+                if len(outside):
+                    errors.append((outside[0] // width, "color outside 0..255"))
+                converted.append((out, values))
         if errors:
             row, message = min(errors, key=itemgetter(0))
             return self.vertex_lines[row], message
-        self._vertices.frombytes(xyz.view(np.uint8))
-        if self._get_quality:
-            self._quality.frombytes(quality.view(np.uint8))
-        if self._get_rgb:
-            self._colors.frombytes(rgb.view(np.uint8))
+        for out, values in converted:
+            out.frombytes(values.view(np.uint8))
 
     def _face_rows(self):
-        """Convert the pending face rows; (line, message) of the first bad
-        one, or None."""
+        """Convert the pending face rows; (line, message) of the first bad, or None."""
         errors = []  # (row, message), in the order a per-row parse checks
         counts, bad = _parse(self.spans if self._obj else self.counts, np.int64)
         if bad is not None:
@@ -362,23 +328,60 @@ def _fan_triangulate(flat, sizes, path):
 
 
 def _whole_lines(fh):
-    """Whole lines of `fh` without their last newline, one piece per read of 8 *
-    _CHUNK_ROWS characters (at most _CHUNK_ROWS `v x y z` rows); last, the rest."""
+    """Whole lines of `fh` without their last newline, a piece per read of 8 *
+    _CHUNK_ROWS characters; last, the rest if the file ends without one."""
     carry = ""
     for text in iter(partial(fh.read, 8 * _CHUNK_ROWS), ""):
         whole, newline, carry = (carry + text).rpartition("\n")
         if newline:
             yield whole
-    yield carry
+    if carry:
+        yield carry
+
+
+def _cut(text, key, rows):
+    """(kind, head, n, tail): the first `n` lines of `text`, rows of `kind` if
+    any, and the rest or None: in OBJ (`key` None) up to the first face row
+    after vertex rows, else the section's `rows` rows left."""
+    kind, head, tail = key or text[:1], text, None
+    if key is None:
+        last = text.rfind("\n") + 1  # a piece that ends in a vertex row is not cut
+        cut = text.find("\nf ") if kind == "v" and not text.startswith("v ", last) else -1
+        head, tail = (text, None) if cut < 0 else (text[:cut], text[cut + 1:])
+    elif text.count("\n") >= rows:
+        *head, tail = text.split("\n", rows)
+        head = "\n".join(head)
+    return kind, head, head.count("\n") + 1, tail
+
+
+def _read_rows(lines, columns, sections):
+    """Read each section, (key, rows, count) as `route` takes them, from the
+    pieces of `_whole_lines`: by `regular` where it can, else row by row. The
+    file ending before vertex or face rows is a ParseError; skipped ones count on."""
+    pieces, text, whole = _whole_lines(lines.fh), None, False
+    for key, left, at in sections:
+        while left:
+            if text is None:
+                text, whole = next(pieces, None), True
+            if text is None:
+                if key in ("v", "f"):
+                    raise ParseError("unexpected end of file", columns.path, lines.lineno + 1)
+                lines.lineno += left  # a skipped element's missing rows count on
+                break
+            kind, head, n, tail = _cut(text, key, left)
+            if kind in ("v", "f") and columns.regular(lines, head, n, kind, at, whole):
+                left, text, whole = left - n, tail, False
+                continue
+            lines.numbered = zip(text.split("\n"), count(lines.lineno + 1))
+            left = columns.route(lines, key, left, at)
+            rest = [line for line, _ in lines.numbered]
+            text, whole = "\n".join(rest) if rest else None, False
 
 
 def _load_obj(lines, columns):
     columns.vertex_layout((1, 2, 3), 4)
     # vt/vn/vp/o/g/s/usemtl/mtllib/l and unknown keywords are skipped
-    for text in _whole_lines(lines.fh):
-        if not columns.regular(text, lines):
-            lines.numbered = zip(text.split("\n"), count(lines.lineno + 1))
-            columns.route(lines)
+    return [(None, float("inf"), 0)]
 
 
 def _row_count(token):
@@ -403,39 +406,15 @@ def _load_off(lines, columns):
     except (ValueError, IndexError):
         raise ParseError(f"bad count line {counts!r}", path, lines.lineno)
     columns.vertex_layout((0, 1, 2), 3)
-    columns.route(lines, "v", n_vert)
-    columns.route(lines, "f", n_face)
+    return [("v", n_vert, 0), ("f", n_face, 0)]
 
 
 def _load_ply(lines, columns):
+    """(key, rows, count) of each element once the rows before it are read."""
     path = columns.path
-    for name, rows, props in _ply_header(lines, path):
-        key, count = "skip", 0  # the rows of other elements are skipped
-        if name == "vertex":
-            names = [p[1] for p in props]
-            if not all(c in names for c in "xyz"):
-                raise ParseError("vertex element lacks x/y/z", path, lines.lineno)
-            rgb = ("red", "green", "blue")
-            columns.vertex_layout(
-                [names.index(c) for c in "xyz"], len(names),
-                names.index("quality") if "quality" in names else None,
-                [names.index(c) for c in rgb] if all(c in names for c in rgb) else None)
-            key = "v"
-        elif name == "face":
-            kinds = [kind for kind, _ in props]
-            if "list" not in kinds:
-                raise ParseError("face element lacks a list property", path, lines.lineno)
-            # the list's count follows the scalars before it, one token each
-            key, count = "f", kinds.index("list")
-        columns.route(lines, key, rows, count)
-
-
-def _ply_header(lines, path):
-    """The elements, each (name, count, [(kind, name)]) with kind 'scalar'
-    or 'list'; `lines` is left at `end_header`."""
     if (lines.next_row(), lines.lineno) != (["ply"], 1):
         raise ParseError("missing 'ply' magic", path, 1)
-    elements, fmt_seen = [], False
+    elements, fmt_seen = [], False  # each (name, count, [(kind, name)])
     while True:
         tokens, lineno = lines.next_row(), lines.lineno
         if not tokens:
@@ -468,7 +447,25 @@ def _ply_header(lines, path):
             raise ParseError(f"unknown header line {tokens!r}", path, lineno)
     if not fmt_seen:
         raise ParseError("missing format line", path, lineno)
-    return elements
+    for name, rows, props in elements:
+        key, count = "skip", 0  # the rows of other elements are skipped
+        if name == "vertex":
+            names = [p[1] for p in props]
+            if not all(c in names for c in "xyz"):
+                raise ParseError("vertex element lacks x/y/z", path, lines.lineno)
+            rgb = ("red", "green", "blue")
+            columns.vertex_layout(
+                [names.index(c) for c in "xyz"], len(names),
+                names.index("quality") if "quality" in names else None,
+                [names.index(c) for c in rgb] if all(c in names for c in rgb) else None)
+            key = "v"
+        elif name == "face":
+            kinds = [kind for kind, _ in props]
+            if "list" not in kinds:
+                raise ParseError("face element lacks a list property", path, lines.lineno)
+            # the list's count follows the scalars before it, one token each
+            key, count = "f", kinds.index("list")
+        yield key, rows, count
 
 
 _LOADERS = {"obj": _load_obj, "off": _load_off, "ply": _load_ply}
@@ -494,7 +491,8 @@ def load_mesh_attributes(path, fmt: str = "auto"):
         raise UnsupportedFormat(f"unknown format {fmt!r}")
     columns = _Columns(path, obj=fmt == "obj")
     with _open(path) as fh:
-        _LOADERS[fmt](_Lines(fh), columns)
+        lines = _Lines(fh)
+        _read_rows(lines, columns, _LOADERS[fmt](lines, columns))
     vertices, flat, sizes, quality, colors = columns.arrays()
     faces = _fan_triangulate(flat, sizes, path)
     del columns, flat, sizes  # free the index counts before the mesh checks

@@ -7,6 +7,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -588,3 +589,253 @@ def test_saved_face_pieces_skip_the_split_conversion(tmp_path, monkeypatch):
     assert all(flat is not None for flat in converted)
     assert _bits(loaded.vertices) == _bits(mesh.vertices)
     assert _bits(loaded.faces) == _bits(mesh.faces)
+
+
+# --- OFF and PLY pieces routed in bulk --------------------------------------
+
+def _piece_ends(path, header_lines):
+    """The last line of each piece `_whole_lines` reads from `path` after
+    its first `header_lines` lines, as the readers read them."""
+    import gcfmesh.io
+
+    ends = [header_lines]
+    with open(path) as fh:
+        for _ in range(header_lines):
+            next(fh)
+        for text in gcfmesh.io._whole_lines(fh):
+            ends.append(ends[-1] + text.count("\n") + 1)
+    return ends[1:]
+
+
+def test_saved_off_and_ply_files_skip_the_row_router(tmp_path, monkeypatch):
+    """Saves of every format, PLY with quality and colors too, are regular in
+    every read, so no row of them reaches `_Columns.route`."""
+    import gcfmesh.io
+
+    mesh = _strip(3 * _CHUNK_ROWS + 5, 0)
+    rng = np.random.Generator(np.random.PCG64(1))
+    quality = rng.standard_normal(mesh.vertex_count)
+    colors = rng.integers(0, 256, (mesh.vertex_count, 3))
+    routed = []
+    monkeypatch.setattr(gcfmesh.io._Columns, "route", lambda self, lines, *args:
+                        routed.extend(text for text, _ in lines.numbered if text.strip()))
+    for name, extra in [("m.off", {}), ("m.ply", {}),
+                        ("q.ply", {"scalars": quality, "colors": colors})]:
+        path = tmp_path / name
+        save_mesh(mesh, path, **extra)
+        lines = path.read_text().split("\n")
+        head = lines.index("end_header") + 1 if name.endswith("ply") else 2
+        assert len(_piece_ends(path, head)) >= 4  # the rows span several reads
+        loaded, q, c = load_mesh_attributes(path)
+        assert routed == []
+        assert _bits(loaded.vertices) == _bits(mesh.vertices)
+        assert _bits(loaded.faces) == _bits(mesh.faces)
+        if extra:
+            assert _bits(q) == _bits(quality)
+            assert _bits(c) == _bits(colors.astype(np.uint8))
+
+
+@functools.cache
+def _piece_base_files():
+    """(suffix, lines, header lines, edges) of OFF, COFF and PLY saves of a
+    strip of 4001 vertices and 3999 faces, PLY plain and with quality and
+    colors. `edges` are the lines next to a read boundary or to the first
+    face row."""
+    mesh = _strip(8000, 8)
+    rng = np.random.Generator(np.random.PCG64(9))
+    extra = {"scalars": rng.standard_normal(mesh.vertex_count),
+             "colors": rng.integers(0, 256, (mesh.vertex_count, 3))}
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix, kwargs in [("off", {}), ("coff", {}), ("ply", {}), ("ply", extra)]:
+            path = Path(tmp) / f"m.{suffix[-3:]}"
+            save_mesh(mesh, path, **kwargs)
+            lines = path.read_text().split("\n")[:-1]
+            head = lines.index("end_header") + 1 if suffix == "ply" else 2
+            if suffix == "coff":  # RGBA after each vertex, which the readers ignore
+                lines[0] = "COFF"
+                for i in range(head, head + mesh.vertex_count):
+                    lines[i] += f" {i % 256} 0.5 1 1"
+                path.write_text("\n".join(lines) + "\n")
+            near = _piece_ends(path, head) + [head + mesh.vertex_count]
+            edges = sorted({i + d for i in near for d in (-1, 0, 1)
+                            if head <= i + d < len(lines)})
+            files.append((suffix[-3:], lines, head, edges))
+    return files
+
+
+@st.composite
+def _piece_mutated(draw):
+    """A multi-piece OFF, COFF or PLY save with up to three row changes near
+    a read edge or the first face row (a comment or blank line, a row
+    commented out, a tab, a token more or less, a polygon, another index
+    count, a bad token, the file cut there), perhaps a skipped PLY element
+    between the vertex and face rows or a scalar before the face list, and
+    LF or CRLF line endings."""
+    suffix, lines, head, edges = draw(st.sampled_from(_piece_base_files()))
+    lines = list(lines)
+    if suffix == "ply" and draw(st.booleans()):
+        rows = draw(st.integers(1, 40))
+        vertices = int(lines[2].split()[-1])  # `element vertex n`
+        at = next(i for i, line in enumerate(lines) if line.startswith("element face"))
+        lines[at:at] = [f"element extra {rows}", "property double w"]
+        lines[head + 2 + vertices:head + 2 + vertices] = [f"{k / 4}" for k in range(rows)]
+        head += 2
+        edges = [i + 2 for i in edges]
+    if suffix == "ply" and draw(st.booleans()):
+        at = lines.index("property list uchar int vertex_indices")
+        lines.insert(at, "property uchar flags")
+        for i in range(lines.index("end_header") + 1, len(lines)):
+            if lines[i].startswith("3 ") and len(lines[i].split()) == 4:
+                lines[i] = "7 " + lines[i]
+        head += 1
+        edges = [i + 1 for i in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        i = min(draw(st.sampled_from(edges) | st.integers(head, len(lines) - 1)), len(lines) - 1)
+        tokens = lines[i].split(" ")
+        op = draw(st.sampled_from(["line", "comment", "tab", "extra", "missing",
+                                   "polygon", "count", "bad", "cut"]))
+        if op == "line":
+            lines.insert(i, draw(st.sampled_from(_LINES)))
+        elif op == "comment" and tokens:
+            tokens[0] = "#" + tokens[0]
+        elif op == "cut":
+            lines = lines[:i]
+            break
+        elif op == "tab" and len(tokens) > 1:
+            j = draw(st.integers(1, len(tokens) - 1))
+            tokens[j - 1:j + 1] = [tokens[j - 1] + "\t" + tokens[j]]
+        elif op == "extra":
+            extra = draw(st.sampled_from(["7", "0.5", "0"]))
+            tokens.insert(draw(st.integers(0, len(tokens))), extra)
+        elif op == "missing" and tokens:
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif op == "polygon" and tokens[:1] == ["3"]:
+            tokens[0] = "4"
+            tokens.append(draw(st.sampled_from(["0", "1", tokens[1] if len(tokens) > 1 else "0"])))
+        elif op == "count" and tokens[:1] == ["3"]:
+            tokens[0] = draw(st.sampled_from(["2", "4", "03", "+3", "v", "f"]))
+        elif op == "bad" and tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_TOKENS))
+        lines[i] = " ".join(tokens)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return suffix, end.join(lines) + end
+
+
+def _worded(path):
+    """`_outcome` of load_mesh_attributes on `path`, and the message of what
+    it raises or None."""
+    message = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # `_outcome` compares them
+        try:
+            load_mesh_attributes(path)
+        except Exception as err:  # the message is what is compared
+            message = str(err)
+    return _outcome(load_mesh_attributes, path), message
+
+
+def _row_by_row(path):
+    """`_worded(path)` with every row read by the row router."""
+    import gcfmesh.io
+
+    with mock.patch.object(gcfmesh.io._Columns, "regular", lambda *args: False):
+        return _worded(path)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=_piece_mutated())
+def test_off_and_ply_pieces_read_as_the_line_reader(tmp_path, case):
+    """Mutated multi-piece OFF, COFF and PLY files read as the per-line
+    reference reads them, unless they are read differently on purpose, and
+    with the messages of the row router alone."""
+    suffix, text = case
+    path = tmp_path / f"m.{suffix}"
+    path.write_bytes(text.encode("utf-8"))
+    result = _worded(path)
+    assert result == _row_by_row(path)
+    if not _mended(suffix, text):
+        assert result[0] == _outcome(line_reader.load_mesh_attributes, path)
+
+
+@functools.cache
+def _edge_files():
+    """{fmt: (lines, header lines, vertex rows, piece ends)} of saves of a
+    strip of 4001 vertices and 3999 faces, whose vertex and face rows each
+    span at least two reads."""
+    mesh = _strip(8000, 4)
+    files = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("obj", "off", "ply"):
+            path = Path(tmp) / f"m.{fmt}"
+            save_mesh(mesh, path)
+            lines = path.read_text().split("\n")[:-1]
+            head = lines.index("end_header") + 1 if fmt == "ply" else 2 * (fmt == "off")
+            files[fmt] = lines, head, mesh.vertex_count, _piece_ends(path, head)
+    return files
+
+
+@pytest.mark.parametrize("fmt", ["obj", "off", "ply"])
+@pytest.mark.parametrize("kind", ["vertex", "face"])
+@pytest.mark.parametrize("side", ["last", "first"])
+def test_bad_token_on_a_read_edge_reports_its_line(tmp_path, fmt, kind, side):
+    """A bad token in the last row of one read or in the first row of the
+    next, in the vertex rows and in the face rows of every format. The row
+    keeps its length, so the reads end where they did."""
+    lines, head, vertices, ends = _edge_files()[fmt]
+    rows = (head, head + vertices) if kind == "vertex" else (head + vertices, len(lines))
+    edge = next(end for end in ends if rows[0] < end < rows[1])  # a read ends mid-section
+    line = edge if side == "last" else edge + 1  # 1-based
+    bad = list(lines)
+    bad[line - 1] = bad[line - 1][:-1] + "x"
+    path = tmp_path / f"m.{fmt}"
+    path.write_text("\n".join(bad) + "\n")
+    assert _piece_ends(path, head) == ends
+    with pytest.raises(ParseError) as err:
+        load_mesh(path)
+    assert err.value.line == line
+    assert _outcome(load_mesh_attributes, path) == _outcome(
+        line_reader.load_mesh_attributes, path)
+
+
+@pytest.mark.parametrize("fmt, lead", [("obj", "f 0000"), ("off", "2"), ("off", "4"),
+                                       ("ply", "2")])
+def test_digit_face_piece_checks_as_the_row_router(tmp_path, fmt, lead):
+    """A face row of ASCII digits that np.fromstring reads but that is not a
+    triangle of valid indices, first in a face piece: an OBJ index 0 or
+    another index count. The row keeps its length, so the reads end where
+    they did."""
+    lines, head, vertices, ends = _edge_files()[fmt]
+    first = next(end for end in ends if head + vertices < end < len(lines)) + 1  # 1-based
+    row = lines[first - 1]
+    lines = lines[:first - 1] + [lead + row[len(lead):]] + lines[first:]
+    path = tmp_path / f"m.{fmt}"
+    path.write_text("\n".join(lines) + "\n")
+    assert _piece_ends(path, head) == ends
+    result = _worded(path)
+    assert result[0][0][::2] == ("raised", first)
+    assert result[0] == _outcome(line_reader.load_mesh_attributes, path)
+    assert result == _row_by_row(path)
+
+
+@pytest.mark.parametrize("suffix, text", [
+    ("off", "OFF\n3 1 0\n#0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n"),  # a row commented out
+    ("off", "OFF\n2 0 0\n0 0 0 v\n1 0\n"),  # a key as a value, then a short row
+    ("off", "OFF\n2 0 0\n0 0 0 7\n1 0\n"),  # a long row, then a short one
+    ("off", "OFF\n2 0 0\n1 2\n3 4\n"),  # all rows short
+    ("off", "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2 f\n3 0 1\n"),
+    ("ply", _PLY_SQUARE.format(_SQUARE_FACES, "3 0 1 2 3\n3 1 3\n")),
+    ("obj", "v 1 2 3 v\nv 5 6\n"),
+    ("obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 f\nf 1 2\n"),
+])
+def test_rows_alike_only_in_token_count_read_as_the_row_router(tmp_path, suffix, text):
+    """Pieces whose tokens number a multiple of their lines although their
+    rows differ: the readers raise what the row router raises, message and
+    all, and what the per-line reference raises."""
+    path = tmp_path / f"m.{suffix}"
+    path.write_text(text)
+    result = _worded(path)
+    assert result[0] == _outcome(line_reader.load_mesh_attributes, path)
+    assert result == _row_by_row(path)
