@@ -54,7 +54,8 @@ class TraceTooShort(MeshError):
 
 
 class BadResolution(MeshError, ValueError):
-    """A mesh generator's count is not an integer of at least its floor."""
+    """A mesh generator's count is not an integer of at least its floor, or
+    its radius, height, size or spacing is not finite and > 0."""
 
 
 class NonFiniteError(MeshError):

@@ -255,11 +255,14 @@ def gcf_step(positions: np.ndarray, topology: MeshTopology,
 
     edge_scale defaults to the mean edge length of the given positions and
     anchors the degeneracy cutoffs; threads follows FilterConfig's rule. A
-    NaN or infinite coordinate raises NonFiniteError naming its vertex, and
-    positions or a coloring not of the topology's vertex count CountMismatch.
+    NaN or infinite coordinate raises NonFiniteError naming its vertex,
+    positions not (n, 3) ValueError, and positions or a coloring not of the
+    topology's vertex count CountMismatch.
     """
     _check_count("threads", threads, 0)
     positions = np.array(positions, dtype=np.float64, order="F")
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError(f"positions must be (n, 3), not {positions.shape}")
     _check_match(positions, topology)
     _check_finite(positions)
     _drive(positions, topology, coloring, edge_scale, threads, 1, False)

@@ -15,6 +15,8 @@ and face order of a per-element walk.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import BadResolution
@@ -32,6 +34,12 @@ _ICO_FACES = [
     (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
     (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
 ]
+
+
+def _check_length(name, value):
+    """BadResolution unless a generator's length `value` is finite and > 0."""
+    if not (isinstance(value, numbers.Real) and 0 < value < np.inf):
+        raise BadResolution(f"{name} must be finite and > 0, not {value!r}")
 
 
 def _on_sphere(v, radius):
@@ -67,6 +75,7 @@ def icosphere(subdivisions: int = 2, radius: float = 1.0) -> TriangleMesh:
     face and edge (a, b), (b, c), (c, a) within a face.
     """
     _check_count("subdivisions", subdivisions, 0, BadResolution)
+    _check_length("radius", radius)
     verts = _on_sphere(_ICO_VERTS, radius)
     faces = np.array(_ICO_FACES)
     for _ in range(subdivisions):
@@ -106,6 +115,8 @@ def cylinder(segments: int = 32, rings: int = 16, radius: float = 1.0,
     """Capped right circular cylinder; closed, outward winding."""
     _check_count("segments", segments, 3, BadResolution)
     _check_count("rings", rings, 1, BadResolution)
+    _check_length("radius", radius)
+    _check_length("height", height)
     zs = np.linspace(-height / 2.0, height / 2.0, rings + 1)
     circles, bands, i, i1 = _revolution(segments, np.full(len(zs), radius), zs)
     n = len(circles)  # the bottom centre; the top centre is n + 1
@@ -125,6 +136,8 @@ def cone(segments: int = 32, rings: int = 8, radius: float = 1.0,
     """
     _check_count("segments", segments, 3, BadResolution)
     _check_count("rings", rings, 1, BadResolution)
+    _check_length("radius", radius)
+    _check_length("height", height)
     j = np.arange(rings)
     circles, bands, i, i1 = _revolution(segments, radius * (rings - j) / rings,
                                         -height / 2.0 + j * height / rings)
@@ -149,6 +162,7 @@ def cube(resolution: int = 4, size: float = 2.0) -> TriangleMesh:
     """Axis-aligned cube with a resolution x resolution grid per side,
     welded along edges and corners; closed, outward winding."""
     _check_count("resolution", resolution, 1, BadResolution)
+    _check_length("size", size)
     r = resolution + 1
     ticks = np.linspace(-size / 2.0, size / 2.0, r)
     uu, vv = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
@@ -165,6 +179,7 @@ def cube(resolution: int = 4, size: float = 2.0) -> TriangleMesh:
 def grid(resolution: int = 8, spacing: float = 1.0) -> TriangleMesh:
     """Planar z=0 grid of resolution x resolution unit cells (open boundary)."""
     _check_count("resolution", resolution, 1, BadResolution)
+    _check_length("spacing", spacing)
     n = resolution
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     verts = np.stack([

@@ -1,7 +1,8 @@
 """ASCII OBJ / OFF / PLY readers and writers.
 
-Headers come from `_Lines`, bodies from `_read_rows` a piece of whole lines
-at a time, rows alike in bulk and others row by row. All three formats skip
+Headers come from `_Lines`, bodies from `_read_rows`, which alone counts
+lines: it cuts pieces of whole lines into runs of one section and hands
+each to `regular` (in bulk) or `route` (row by row). All three formats skip
 blank and `#` lines and decode UTF-8 with undecodable bytes replaced. Faces
 are fan-triangulated and triangles that repeat a vertex dropped, each with
 a warning. A `COFF` file reads as OFF with its color columns ignored.
@@ -111,21 +112,20 @@ class _Columns:
         self._quality = None if quality is None else array("d")
         self._colors = None if rgb is None else array("q")
 
-    def route(self, lines, key, rows, count):
-        """Route the next `rows` rows of `lines` as `key` says ("v", "f", None
-        for each row's first token, any other to skip them), flush, and return
-        the rows left if `lines` runs out. A face row holds its index count in
-        column `count` (OBJ: the `f`), then the indices."""
-        width, lineno = self._width, lines.lineno
+    def route(self, lines, key, count):
+        """Route the (text, lineno) lines of `lines.numbered` as `key` says ("v",
+        "f", None for each row's first token, any other to skip them), flush,
+        and return how many were blank or `#` comments. A face row holds its
+        index count in column `count` (OBJ: the `f`), then the indices."""
+        width = self._width
         get_xyz, get_quality, get_rgb = (at and itemgetter(*at) for at in self._layout)
         xyz, quality, rgb, vertex_lines = self.xyz, self.quality, self.rgb, self.vertex_lines
         counts, spans, indices, face_lines = self.counts, self.spans, self.indices, self.face_lines
-        # the last row is on line `stop`, one line later per blank or comment line
-        stop, short = lineno + rows, None
+        skipped, short = 0, None
         for text, lineno in lines.numbered:
             tokens = text.split()
             if not tokens or tokens[0][0] == "#":
-                stop += 1
+                skipped += 1
                 continue
             kind = key or tokens[0]
             if kind == "f":
@@ -146,14 +146,11 @@ class _Columns:
                 if get_rgb:
                     rgb += get_rgb(tokens)
                 vertex_lines.append(lineno)
-            if lineno >= stop:
-                break
-        lines.lineno = lineno
         self.flush(short)
-        return stop - lineno
+        return skipped
 
-    def regular(self, lines, text, n, kind, count, whole):
-        """Route `text`, the `n` lines after `lines`, in bulk if they are rows
+    def regular(self, first, text, n, kind, count, whole):
+        """Route `text`, `n` lines from line `first` on, in bulk if they are rows
         of `kind` ("v" or "f") of one width, and say whether it did. OFF and
         PLY lines get `kind` in front as the key OBJ lines carry: each line
         must start with it, no other token be it, and one split hold it every
@@ -168,13 +165,12 @@ class _Columns:
                 or text.count(f"\n{kind} ") != n - 1):
             return False
         shift = 0 if obj else 1  # the key's column in front of the row's
-        at, first = count + shift, 1 - shift  # the count's column; the first index
+        at, base = count + shift, 1 - shift  # the count's column; the lowest index
         rows = _digit_faces(text, n) if kind == "f" and whole else None
-        if (rows is not None and rows.shape[1] == at + 4 and rows[:, at + 1:].min() >= first
+        if (rows is not None and rows.shape[1] == at + 4 and rows[:, at + 1:].min() >= base
                 and (obj or (rows[:, at] == 3).all())):  # triangles that need no check
-            self._flat.frombytes((rows[:, at + 1:] - first).view(np.uint8))
+            self._flat.frombytes((rows[:, at + 1:] - base).view(np.uint8))
             self._sizes.frombytes(np.full(n, 3, dtype=np.int64).view(np.uint8))
-            lines.lineno += n
             return True
         tokens = text.split()
         width = len(tokens) // n
@@ -194,13 +190,12 @@ class _Columns:
         if kind == "v":
             self.xyz, self.quality, self.rgb = (
                 places and take([c + shift for c in places]) for places in self._layout)
-            self.vertex_lines = range(lines.lineno + 1, lines.lineno + n + 1)
+            self.vertex_lines = range(first, first + n)
         else:
             self.counts, self.indices = take([at]), take(range(at + 1, width))
             self.spans = np.full(n, width - at - 1)
-            self.face_lines = range(lines.lineno + 1, lines.lineno + n + 1)
+            self.face_lines = range(first, first + n)
         self.flush()
-        lines.lineno += n
         return True
 
     def arrays(self):
@@ -342,22 +337,24 @@ def _whole_lines(fh):
 def _cut(text, key, rows):
     """(kind, head, n, tail): the first `n` lines of `text`, rows of `kind` if
     any, and the rest or None: in OBJ (`key` None) up to the first face row
-    after vertex rows, else the section's `rows` rows left."""
-    kind, head, tail = key or text[:1], text, None
-    if key is None:
-        last = text.rfind("\n") + 1  # a piece that ends in a vertex row is not cut
+    after vertex rows, else at most the section's `rows` lines left."""
+    if key is None:  # a piece that ends in a vertex row is not cut
+        kind, last = text[:1], text.rfind("\n") + 1
         cut = text.find("\nf ") if kind == "v" and not text.startswith("v ", last) else -1
         head, tail = (text, None) if cut < 0 else (text[:cut], text[cut + 1:])
-    elif text.count("\n") >= rows:
-        *head, tail = text.split("\n", rows)
-        head = "\n".join(head)
-    return kind, head, head.count("\n") + 1, tail
+        return kind, head, head.count("\n") + 1, tail
+    n = text.count("\n") + 1
+    if n <= rows:
+        return key, text, n, None
+    *head, tail = text.split("\n", rows)
+    return key, "\n".join(head), rows, tail
 
 
 def _read_rows(lines, columns, sections):
-    """Read each section, (key, rows, count) as `route` takes them, from the
-    pieces of `_whole_lines`: by `regular` where it can, else row by row. The
-    file ending before vertex or face rows is a ParseError; skipped ones count on."""
+    """Read each section, (key, rows, count), from the pieces of `_whole_lines`,
+    each `_cut` run by `regular` where it can, else by `route`, and count its
+    lines. The file ending before vertex or face rows is a ParseError; skipped
+    ones count on."""
     pieces, text, whole = _whole_lines(lines.fh), None, False
     for key, left, at in sections:
         while left:
@@ -368,14 +365,12 @@ def _read_rows(lines, columns, sections):
                     raise ParseError("unexpected end of file", columns.path, lines.lineno + 1)
                 lines.lineno += left  # a skipped element's missing rows count on
                 break
-            kind, head, n, tail = _cut(text, key, left)
-            if kind in ("v", "f") and columns.regular(lines, head, n, kind, at, whole):
-                left, text, whole = left - n, tail, False
-                continue
-            lines.numbered = zip(text.split("\n"), count(lines.lineno + 1))
-            left = columns.route(lines, key, left, at)
-            rest = [line for line, _ in lines.numbered]
-            text, whole = "\n".join(rest) if rest else None, False
+            kind, head, n, text = _cut(text, key, left)
+            first, skipped = lines.lineno + 1, 0
+            if kind not in ("v", "f") or not columns.regular(first, head, n, kind, at, whole):
+                lines.numbered = zip(head.split("\n"), count(first))
+                skipped = columns.route(lines, key, at)
+            lines.lineno, left, whole = lines.lineno + n, left - n + skipped, False
 
 
 def _load_obj(lines, columns):

@@ -32,6 +32,16 @@ def test_gen_bad_resolution_exit_code(tmp_path):
                "-o", tmp_path / "c.obj") == 3
 
 
+@pytest.mark.parametrize("shape", [("icosphere", "--radius", "-1"), ("cube", "--size", "0"),
+                                   ("cone", "--height", "inf")])
+def test_gen_bad_length_exit_code(tmp_path, capsys, shape):
+    kind, option, value = shape
+    out = tmp_path / "m.obj"
+    assert run("gen", "--kind", kind, option, value, "-o", out) == 3
+    assert not out.exists()
+    assert f"{option[2:]} must be finite and > 0" in capsys.readouterr().err
+
+
 def test_filter_grid_fixed_point(tmp_path):
     grid_path = tmp_path / "grid.obj"
     out_path = tmp_path / "out.obj"
@@ -172,6 +182,14 @@ def test_color_export_proper(tmp_path):
     assert colors is not None
     for a, b in unique_edges(mesh.faces).tolist():
         assert tuple(colors[a]) != tuple(colors[b])
+
+
+def test_color_to_obj_exit_code(tmp_path, capsys):
+    sphere, out = tmp_path / "s.obj", tmp_path / "x.obj"
+    run("gen", "--kind", "icosphere", "--subdiv", "1", "-o", sphere)
+    assert run("color", "-i", sphere, "-o", out) == 3
+    assert not out.exists()
+    assert "error: color export requires a .ply output" in capsys.readouterr().err
 
 
 def test_smooth_runs(tmp_path):

@@ -2,7 +2,8 @@
 its floor, else ValueError with the count's name. The filter drivers' cases
 are in test_filtering.py; these are the baselines' iterations, the
 histogram's bins, the noise seed and the generators' counts, which raise
-BadResolution, a ValueError."""
+BadResolution, a ValueError, as do the generators' lengths that are not
+finite and > 0."""
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ def test_generator_floors_raise_a_value_error(make, args, match):
     with pytest.raises(ValueError, match=match) as raised:
         make(*args)
     assert isinstance(raised.value, BadResolution)
+
+
+@pytest.mark.parametrize("make, kwargs, name", [
+    (g.icosphere, {"subdivisions": 1, "radius": -1}, "radius"),  # self-intersecting
+    (g.cylinder, {"segments": 8, "rings": 2, "height": -2}, "height"),  # inside out
+    (g.cube, {"resolution": 2, "size": 0}, "size"),  # every vertex at the origin
+    (g.cone, {"radius": np.inf}, "radius"),
+    (g.cone, {"height": np.nan}, "height"),
+    (g.cone, {"segments": 8, "rings": 3, "height": -2.5}, "height"),
+    (g.cylinder, {"radius": 0.0}, "radius"),
+    (g.grid, {"spacing": -1.0}, "spacing"),
+    (g.grid, {"spacing": "1"}, "spacing"),
+])
+def test_generator_lengths_must_be_finite_and_positive(make, kwargs, name):
+    with pytest.raises(BadResolution) as raised:
+        make(**kwargs)
+    assert str(raised.value) == f"{name} must be finite and > 0, not {kwargs[name]!r}"
 
 
 @pytest.mark.parametrize("make, counts", [

@@ -684,3 +684,14 @@ def test_step_rejects_non_finite_positions(value, edge_scale):
     with pytest.raises(g.errors.NonFiniteError) as info:
         gcf_step(positions, topo, col, edge_scale=edge_scale)
     assert str(info.value) == "vertex 3 has a non-finite coordinate"
+
+
+@pytest.mark.parametrize("columns", [slice(0, 2), [0, 1, 2, 0], 0])
+def test_step_rejects_positions_not_n_by_3(columns):
+    mesh = g.icosphere(1)
+    topo = build_topology(mesh)
+    col = greedy_domain_decomposition(topo)
+    positions = mesh.vertices[:, columns]
+    with pytest.raises(ValueError) as info:
+        gcf_step(positions, topo, col)
+    assert str(info.value) == f"positions must be (n, 3), not {positions.shape}"

@@ -239,6 +239,42 @@ def test_malformed_ply_parse_error(tmp_path, text, line):
     assert err.value.line == line
 
 
+_PLY_TRIANGLE_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                      "property double y\nproperty double z\n")
+
+
+@pytest.mark.parametrize("text, message, line", [
+    pytest.param(_PLY_TRIANGLE_HEAD + "element face 1\nproperty uchar flags\n"
+                 "property list uchar int vertex_indices\nend_header\n"
+                 "0 0 0\n1 0 0\n0 1 0\n7\n", "face row without a count ['7']", 14,
+                 id="face-row-without-a-count"),
+    pytest.param(_PLY_TRIANGLE_HEAD, "unexpected end of header", 7, id="no-end-header"),
+    pytest.param("ply\nformat ascii 1.0\nproperty double x\nelement vertex 3\nend_header\n",
+                 "property before element", 3, id="property-before-element"),
+    # the vertex rows before the face element are read before it is checked
+    pytest.param(_PLY_TRIANGLE_HEAD + "element face 1\nproperty int a\nend_header\n"
+                 "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "face element lacks a list property", 12,
+                 id="face-without-a-list"),
+])
+def test_ply_error_paths_name_their_line(tmp_path, text, message, line):
+    p = tmp_path / "bad.ply"
+    p.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert err.value.line == line
+    assert str(err.value) == f"{p}:{line}: {message}"
+
+
+@pytest.mark.parametrize("channel, values", [("scalar", {"scalars": np.zeros(3)}),
+                                             ("color", {"colors": np.zeros((3, 3))})])
+def test_save_rejects_a_channel_of_the_wrong_length(tmp_path, tetrahedron, channel, values):
+    p = tmp_path / "c.ply"
+    with pytest.raises(ValueError) as err:
+        save_mesh(tetrahedron, p, **values)
+    assert str(err.value) == f"{channel} channel length != vertex count"
+    assert not p.exists()
+
+
 def test_save_rejects_colors_outside_byte_range(tmp_path, tetrahedron):
     p = tmp_path / "c.ply"
     with pytest.raises(ValueError, match="0..255"):

@@ -317,8 +317,9 @@ def test_short_face_before_bad_vertex_reports_the_face(tmp_path):
 @pytest.mark.parametrize("row", [0, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1])
 @pytest.mark.parametrize("kind", ["vertex", "face"])
 def test_bad_token_at_a_chunk_edge_reports_its_line(tmp_path, fmt, row, kind):
-    # Each element starts a chunk, and in OBJ the faces start on line 2 * C + 1,
-    # so rows 0, C - 1, C and 2 * C - 1 of either kind begin or end a chunk.
+    # A bad token in the first, the last or one of the two middle rows of
+    # 2 * C vertex or face rows (C = _CHUNK_ROWS) is reported on its own line in
+    # every format; rows on a read edge are test_bad_token_on_a_read_edge_...'s.
     n = 2 * _CHUNK_ROWS
     vertices = [f"{i} {i % 7} 0.5" for i in range(n)]
     faces = [f"3 {i} {(i + 1) % n} {(i + 2) % n}" for i in range(n)]

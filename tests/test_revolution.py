@@ -70,7 +70,8 @@ def _reference_cone(segments=32, rings=8, radius=1.0, height=2.0):
 
 
 _PAIRS = [(g.cylinder, _reference_cylinder), (g.cone, _reference_cone)]
-_SHAPES = [{}, {"radius": 0.37, "height": 3.3}, {"radius": 1e-3, "height": -2.5},
+# no negative height: it is BadResolution, as it would turn the meshes inside out
+_SHAPES = [{}, {"radius": 0.37, "height": 3.3}, {"radius": 1e-3, "height": 2.5},
            {"radius": 7.1, "height": 0.1}]
 
 
