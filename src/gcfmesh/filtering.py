@@ -18,7 +18,8 @@ them as they stood when the domain's pass began (Jacobi within a domain):
 a pass runs the kernel on all of the domain's blocks, which are cut once
 before the first sweep, and writes their rows back only after the last
 block has returned, so no snapshot is taken. Boundary and non-manifold
-vertices are never moved.
+vertices are never moved. One generator, `_sweeps`, is the only sweep
+loop: `gcf_step` takes two steps, `gcf_filter` iterations + 1, tracing each.
 
 Degeneracy cutoffs are relative to the input mesh's mean edge length e:
 a differential coordinate shorter than 1e-14*e yields no direction, and
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +62,8 @@ from .coloring import DomainColoring
 from .curvature import curvature_field, gaussian_curvature_energy
 from .errors import DegenerateMeshError
 from .mesh import (MeshTopology, TriangleMesh, _check_count, _check_finite, _check_match,
-                   _check_overflow, _cross3, _mean_length, _movable, _norm, _trim_heap, _unit)
+                   _check_overflow, _cross3, _mean_length, _movable, _n_by_3, _norm,
+                   _trim_heap, _unit)
 
 DIRECTION_TOL = 1e-14  # times mean edge length
 NORMAL_TOL = 1e-14     # times mean edge length squared
@@ -197,18 +200,15 @@ def _kernel(snapshot, rows, rings, dir_tol, normal_tol):
     return vi.T + amplitude[:, None] * direction
 
 
-def _drive(positions, topology, coloring, edge_scale, threads, iterations,
-           capture_trace):
-    """Sweep the column-major `positions` in place `iterations` times; each
-    sweep visits every domain in ascending label order. A domain's blocks
-    are all computed, on the pool if there is one, before any of their rows
-    is written back, so each reads the positions as the pass found them.
-    A pool is shut down and the heap trimmed once after the last sweep.
-    Checks the coloring first; edge_scale None is the mean edge length.
-
-    Returns a FilterTrace of the interior curvature energy before the first
-    and after every sweep when capture_trace is set, else None.
-    """
+def _sweeps(positions, topology, coloring, edge_scale, threads):
+    """Steps over the column-major `positions`. The first checks the
+    coloring, takes the tolerances from edge_scale (None is the mean edge
+    length) and cuts the plan; each later one sweeps `positions` in place,
+    every domain in ascending label order. A domain's blocks are all
+    computed, on the pool if there is one, before any of their rows is
+    written back, so each reads the positions as the pass found them. The
+    first sweep makes the pool; closing shuts it down and trims the heap
+    once."""
     _check_match(coloring.color_of, topology)
     if edge_scale is None:
         edge_scale = _mean_length(positions, *topology.edges)
@@ -220,7 +220,7 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
             f"edge scale {edge_scale} is not finite and positive ({cause})")
     tols = (DIRECTION_TOL * edge_scale, NORMAL_TOL * edge_scale * edge_scale)
     plan = _build_plan(topology, coloring)
-    trace = [_interior_energy(positions, topology)] if capture_trace else None
+    yield
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
 
@@ -228,30 +228,22 @@ def _drive(positions, topology, coloring, edge_scale, threads, iterations,
         return _kernel(positions, *block, *tols)
 
     try:
-        for _ in range(iterations):
+        while True:
             for blocks in plan:
                 moved = list((pool.map if pool else map)(work, blocks))
                 for (rows, _), new in zip(blocks, moved):
                     positions[rows] = new
-            if trace is not None:
-                trace.append(_interior_energy(positions, topology))
+            yield
     finally:
         if pool is not None:
             pool.shutdown()
             _trim_heap()  # the exited workers' arenas keep their freed pages
-    return FilterTrace(trace) if trace is not None else None
-
-
-def _interior_energy(positions, topology):
-    return gaussian_curvature_energy(
-        curvature_field(positions, topology.faces, topology.is_boundary)
-    )
 
 
 def gcf_step(positions: np.ndarray, topology: MeshTopology,
              coloring: DomainColoring, *, edge_scale: float | None = None,
              threads: int = 1) -> np.ndarray:
-    """One filter sweep over all domains; returns new positions.
+    """One sweep over all domains, two steps of `_sweeps`; returns new positions.
 
     edge_scale defaults to the mean edge length of the given positions and
     anchors the degeneracy cutoffs; threads follows FilterConfig's rule. A
@@ -260,12 +252,12 @@ def gcf_step(positions: np.ndarray, topology: MeshTopology,
     topology's vertex count CountMismatch.
     """
     _check_count("threads", threads, 0)
-    positions = np.array(positions, dtype=np.float64, order="F")
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError(f"positions must be (n, 3), not {positions.shape}")
+    positions = _n_by_3("positions", np.array(positions, dtype=np.float64, order="F"))
     _check_match(positions, topology)
     _check_finite(positions)
-    _drive(positions, topology, coloring, edge_scale, threads, 1, False)
+    with closing(_sweeps(positions, topology, coloring, edge_scale, threads)) as sweeps:
+        next(sweeps)
+        next(sweeps)
     return np.ascontiguousarray(positions)
 
 
@@ -273,15 +265,21 @@ def gcf_filter(mesh: TriangleMesh, topology: MeshTopology,
                coloring: DomainColoring, config: FilterConfig):
     """Apply the filter config.iterations times.
 
-    Returns (filtered mesh, trace). The trace is None unless
-    config.capture_trace is set; connectivity is shared unchanged and
-    boundary/non-manifold vertices keep their exact input positions.
-    Output positions are identical for any worker count. A mesh or coloring
-    vertex count or faces not the topology's raise CountMismatch or
-    ConnectivityMismatch.
+    Returns (filtered mesh, trace): the interior curvature energy of the
+    input and after every sweep if config.capture_trace is set, else None.
+    Connectivity is shared unchanged, boundary/non-manifold vertices keep
+    their exact input positions and output positions are identical for any
+    worker count. A mesh or coloring vertex count or faces not the
+    topology's raise CountMismatch or ConnectivityMismatch.
     """
     _check_match(mesh.vertices, topology, mesh.faces)
     positions = np.array(mesh.vertices, order="F")
-    trace = _drive(positions, topology, coloring, None, config.threads,
-                   config.iterations, config.capture_trace)
-    return TriangleMesh(positions, mesh.faces.copy()), trace
+    trace = [] if config.capture_trace else None
+    with closing(_sweeps(positions, topology, coloring, None, config.threads)) as sweeps:
+        for _ in range(config.iterations + 1):
+            next(sweeps)
+            if trace is not None:
+                trace.append(gaussian_curvature_energy(
+                    curvature_field(positions, topology.faces, topology.is_boundary)))
+    return (TriangleMesh(positions, mesh.faces.copy()),
+            None if trace is None else FilterTrace(trace))

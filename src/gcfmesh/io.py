@@ -405,7 +405,8 @@ def _load_off(lines, columns):
 
 
 def _load_ply(lines, columns):
-    """(key, rows, count) of each element once the rows before it are read."""
+    """(key, rows, count) of each element; every element is checked on the
+    end_header line, before any row is read."""
     path = columns.path
     if (lines.next_row(), lines.lineno) != (["ply"], 1):
         raise ParseError("missing 'ply' magic", path, 1)
@@ -442,12 +443,13 @@ def _load_ply(lines, columns):
             raise ParseError(f"unknown header line {tokens!r}", path, lineno)
     if not fmt_seen:
         raise ParseError("missing format line", path, lineno)
+    sections = []
     for name, rows, props in elements:
         key, count = "skip", 0  # the rows of other elements are skipped
         if name == "vertex":
             names = [p[1] for p in props]
             if not all(c in names for c in "xyz"):
-                raise ParseError("vertex element lacks x/y/z", path, lines.lineno)
+                raise ParseError("vertex element lacks x/y/z", path, lineno)
             rgb = ("red", "green", "blue")
             columns.vertex_layout(
                 [names.index(c) for c in "xyz"], len(names),
@@ -457,10 +459,11 @@ def _load_ply(lines, columns):
         elif name == "face":
             kinds = [kind for kind, _ in props]
             if "list" not in kinds:
-                raise ParseError("face element lacks a list property", path, lines.lineno)
+                raise ParseError("face element lacks a list property", path, lineno)
             # the list's count follows the scalars before it, one token each
             key, count = "f", kinds.index("list")
-        yield key, rows, count
+        sections.append((key, rows, count))
+    return sections
 
 
 _LOADERS = {"obj": _load_obj, "off": _load_off, "ply": _load_ply}

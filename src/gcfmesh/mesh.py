@@ -110,37 +110,23 @@ class TriangleMesh:
     vertices : (n, 3) float64 positions in model units.
     faces    : (f, 3) int32 vertex indices, 0-based, winding preserved.
 
-    Construction validates that every coordinate is finite, that every face
-    index is in range and that no face repeats a vertex.
+    Construction validates that both arrays are (n, 3), that every
+    coordinate is finite, that every face index is in range and that no
+    face repeats a vertex.
     """
 
     vertices: np.ndarray
     faces: np.ndarray
 
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(
-            np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        )
+        self.vertices = np.ascontiguousarray(_n_by_3("vertices", self.vertices),
+                                             dtype=np.float64)
         _check_finite(self.vertices)
-        faces = np.asarray(self.faces).reshape(-1, 3)  # checked before the int32 cast
-        if faces.size:
-            lo, hi = faces.min(), faces.max()
-            if not (lo >= 0 and hi < len(self.vertices)):  # NaN fails here too
-                bad = hi if lo >= 0 else lo
-                raise FaceIndexError(
-                    f"face index {bad} outside valid range 0..{len(self.vertices) - 1}"
-                )
-        self.faces = f = np.ascontiguousarray(faces, dtype=np.int32)
-        if f.size:
-            # an integer in range casts exactly; anything else must equal its cast
-            fractional = () if faces.dtype.kind in "iu" else faces[f != faces]
-            if len(fractional):
-                raise FaceIndexError(f"face index {fractional[0]} is not an integer")
-            dup = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
-            if dup.any():
-                raise FaceIndexError(
-                    f"face {int(np.flatnonzero(dup)[0])} repeats a vertex index"
-                )
+        self.faces = f = np.ascontiguousarray(_face_indices(self.faces, len(self.vertices)),
+                                              dtype=np.int32)
+        dup = (f[:, 0] == f[:, 1]) | (f[:, 1] == f[:, 2]) | (f[:, 2] == f[:, 0])
+        if dup.any():
+            raise FaceIndexError(f"face {int(np.flatnonzero(dup)[0])} repeats a vertex index")
 
     @property
     def vertex_count(self) -> int:
@@ -373,6 +359,39 @@ def _check_match(positions, topology, faces=None):
         raise ConnectivityMismatch("the mesh's faces are not the topology's")
 
 
+def _n_by_3(name, values):
+    """The one (n, 3) rule for a raw vertex or face array: `values` as an
+    array of rows of three, an empty one as (0, 3); else ValueError naming
+    `name` and its shape."""
+    values = np.asarray(values)
+    if values.size == 0:
+        return values.reshape(0, 3)
+    if values.ndim != 2 or values.shape[1] != 3:
+        raise ValueError(f"{name} must be (n, 3), not {values.shape}")
+    return values
+
+
+def _face_indices(faces, n=None):
+    """The one index rule for raw faces: (f, 3) by `_n_by_3`, and every index
+    an integer of at least 0 and, when `n` is given, below n, else
+    FaceIndexError. Checked as given, so 2**32 + 2 or 2.7 is never wrapped
+    or truncated; integral floats come back as int64."""
+    faces = _n_by_3("faces", faces)
+    if faces.size:
+        lo, hi = faces.min(), faces.max()
+        if not (lo >= 0 and hi < (np.inf if n is None else n)):  # NaN fails here too
+            bad = hi if lo >= 0 else lo
+            valid = ">= 0" if n is None else f"0..{n - 1}"
+            raise FaceIndexError(f"face index {bad} outside valid range {valid}")
+    if faces.dtype.kind not in "iu":
+        whole = faces.astype(np.int64)
+        fractional = faces[whole != faces]
+        if len(fractional):
+            raise FaceIndexError(f"face index {fractional[0]} is not an integer")
+        faces = whole
+    return faces
+
+
 def _movable(topology: MeshTopology) -> np.ndarray:
     """The freeze policy of the filter and the baselines: only interior
     vertices of a single fan move; boundary and non-manifold vertices never
@@ -388,6 +407,7 @@ def unique_edges(faces: np.ndarray, return_counts: bool = False):
     are sorted in place and each run of equal keys is one edge and its
     count, which is what np.unique returns.
     """
+    faces = _face_indices(faces)
     f = len(faces)
     n = int(faces.max()) + 1 if faces.size else 1
     keys = np.empty(3 * f, dtype=np.int64)
@@ -423,9 +443,13 @@ def _mean_length(positions, lower, upper):
 
 
 def mean_edge_length(positions: np.ndarray, faces: np.ndarray) -> float:
-    """Mean length over unique undirected edges; EmptyMeshError without
-    faces, DegenerateMeshError if the mean overflows."""
-    return _mean_length(positions, *unique_edges(faces).T)
+    """Mean length over unique undirected edges. Positions and faces follow
+    TriangleMesh's rules (ValueError, NonFiniteError, FaceIndexError), but a
+    face may repeat a vertex; EmptyMeshError without faces,
+    DegenerateMeshError if the mean overflows."""
+    positions = _n_by_3("positions", positions)
+    _check_finite(positions)
+    return _mean_length(positions, *unique_edges(_face_indices(faces, len(positions))).T)
 
 
 def mesh_stats(mesh: TriangleMesh) -> MeshStats:

@@ -14,7 +14,9 @@ readers were mended since:
 - an OBJ index outside the int64 range is a ParseError (these readers
   accept 2**63 and end with a FaceIndexError);
 - a negative OFF vertex or face count, or PLY element count, is a
-  ParseError on its line (these readers read no rows for it).
+  ParseError on its line (these readers read no rows for it);
+- a PLY vertex element without x/y/z or face element without a list
+  property is a ParseError on the end_header line, before any row is read.
 """
 
 from array import array
@@ -156,16 +158,19 @@ def _load_ply(path):
             raise ParseError(f"unknown header line {tokens!r}", path, lineno)
     if not fmt_seen:
         raise ParseError("missing format line", path, lineno)
+    for name, _, props in elements:
+        names = [p[1] for p in props]
+        if name == "vertex" and not all(c in names for c in "xyz"):
+            raise ParseError("vertex element lacks x/y/z", path, lineno)
+        if name == "face" and not any(kind == "list" for kind, _ in props):
+            raise ParseError("face element lacks a list property", path, lineno)
 
     vertices, flat, sizes = array("d"), array("q"), array("q")
     quality = colors = None
     for name, rows, props in elements:
         if name == "vertex":
             names = [p[1] for p in props]
-            try:
-                xyz = [names.index(c) for c in "xyz"]
-            except ValueError:
-                raise ParseError("vertex element lacks x/y/z", path, lineno)
+            xyz = [names.index(c) for c in "xyz"]
             q = rgb = ()
             if "quality" in names:
                 quality, q = array("d"), (names.index("quality"),)
@@ -184,8 +189,6 @@ def _load_ply(path):
                     if not all(0 <= c <= 255 for c in colors[-3:]):
                         raise ParseError("color outside 0..255", path, lineno)
         elif name == "face":
-            if not any(kind == "list" for kind, _ in props):
-                raise ParseError("face element lacks a list property", path, lineno)
             for _ in range(rows):
                 lineno, tokens = next(lines)
                 _face_row(flat, sizes, tokens, path, lineno)

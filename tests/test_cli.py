@@ -513,3 +513,27 @@ def test_overflowing_mesh_named_without_warning(tmp_path, argv):
     assert done.stderr == ("error: mean edge length overflows to inf "
                            "(are the coordinates too large to square?)\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.obj"]
+
+
+def test_curvature_verbose_prints_the_energy(tmp_path, capsys):
+    sphere = tmp_path / "s.obj"
+    clean = g.icosphere(2)
+    save_mesh(g.add_noise(clean, g.build_topology(clean), g.NoiseConfig(0.3, seed=3)), sphere)
+    mesh = load_mesh(sphere)
+    gce = g.gaussian_curvature_energy(g.gaussian_curvature(mesh, g.build_topology(mesh)))
+    assert run("curvature", "-i", sphere, "-o", tmp_path / "k.csv", "-v") == 0
+    out = capsys.readouterr().out
+    assert out == f"gce={gce:.17g}\n"
+    assert float(out[len("gce="):]) == gce
+
+
+def test_bench_output_goes_to_the_file_only(tmp_path, capsys):
+    sphere = tmp_path / "s.obj"
+    save_mesh(g.icosphere(2), sphere)
+    assert run("bench", "-i", sphere, "--iters", "2", "--threads", "1,2",
+               "-o", tmp_path / "t.csv") == 0
+    assert capsys.readouterr().out == ""
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == "mesh,vertices,iters,threads,seconds"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+        f"{sphere},162,2,1", f"{sphere},162,2,2"]

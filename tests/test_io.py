@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import gcfmesh as g
 from gcfmesh import TriangleMesh, load_mesh, load_mesh_attributes, save_mesh
+from gcfmesh.cli import main
 from gcfmesh.errors import (
     FaceIndexError,
     FormatCapabilityError,
@@ -251,9 +252,9 @@ _PLY_TRIANGLE_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double 
     pytest.param(_PLY_TRIANGLE_HEAD, "unexpected end of header", 7, id="no-end-header"),
     pytest.param("ply\nformat ascii 1.0\nproperty double x\nelement vertex 3\nend_header\n",
                  "property before element", 3, id="property-before-element"),
-    # the vertex rows before the face element are read before it is checked
+    # every element is checked on the end_header line, before any row is read
     pytest.param(_PLY_TRIANGLE_HEAD + "element face 1\nproperty int a\nend_header\n"
-                 "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "face element lacks a list property", 12,
+                 "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "face element lacks a list property", 9,
                  id="face-without-a-list"),
 ])
 def test_ply_error_paths_name_their_line(tmp_path, text, message, line):
@@ -426,3 +427,33 @@ def test_fan_triangulate_matches_polygon_loop(polygons):
     assert [str(w.message) for w in record] == (
         [f"p: fan-triangulated {fanned} non-triangle faces"] * bool(fanned)
         + [f"p: dropped {dropped} degenerate faces"] * bool(dropped))
+
+
+def test_off_without_its_header_names_line_1(tmp_path, capsys):
+    p = tmp_path / "bad.off"
+    p.write_text("OBJ\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    message = f"{p}:1: missing OFF header, got 'OBJ'"
+    with pytest.raises(ParseError) as err:
+        load_mesh(p)
+    assert (err.value.line, str(err.value)) == (1, message)
+    assert main(["stats", "-i", str(p)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_ply_magic_in_a_txt_file_loads_as_ply(tmp_path, capsys):
+    text = TRIANGLES["ply"].format(0)
+    (tmp_path / "triangle.txt").write_text(text)
+    (tmp_path / "triangle.ply").write_text(text)
+    got, want = load_mesh(tmp_path / "triangle.txt"), load_mesh(tmp_path / "triangle.ply")
+    assert _bits(got.vertices) == _bits(want.vertices)
+    assert _bits(got.faces) == _bits(want.faces)
+    assert main(["stats", "-i", str(tmp_path / "triangle.txt")]) == 0
+    assert '"vertices": 3' in capsys.readouterr().out
+
+
+def test_unknown_format_name_is_unsupported(tmp_path):
+    p = tmp_path / "triangle.obj"
+    p.write_text(OBJ_MINIMAL)
+    with pytest.raises(UnsupportedFormat) as err:
+        load_mesh(p, fmt="stl")
+    assert str(err.value) == "unknown format 'stl'"

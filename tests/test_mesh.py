@@ -257,3 +257,77 @@ def test_mesh_stats_boundary_count_is_a_python_int_and_ignores_winding():
     assert type(flipped.boundary_vertex_count) is int
     assert flipped == mesh_stats(grid)
     assert flipped.boundary_vertex_count == 160
+
+
+@pytest.mark.parametrize("vertices, faces, message", [
+    (np.arange(12.0).reshape(6, 2), [[0, 1, 2]], "vertices must be (n, 3), not (6, 2)"),
+    (np.eye(3), np.zeros((2, 6), dtype=np.int32), "faces must be (n, 3), not (2, 6)"),
+    (np.eye(3), [0, 1, 2], "faces must be (n, 3), not (3,)"),
+    (np.zeros((2, 2, 3)), [[0, 1, 0]], "vertices must be (n, 3), not (2, 2, 3)"),
+])
+def test_mesh_arrays_must_be_n_by_3(vertices, faces, message):
+    """A raw array is never reshaped into rows of three: six 2-D points are
+    not a 4-vertex mesh, and a (2, 6) face array is not four triangles."""
+    with pytest.raises(ValueError) as info:
+        TriangleMesh(vertices, faces)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros(0), np.zeros((0, 3))])
+def test_empty_mesh_arrays_stay_0_by_3(empty):
+    mesh = TriangleMesh(empty, empty)
+    assert mesh.vertices.shape == mesh.faces.shape == (0, 3)
+    assert mesh.vertices.dtype == np.float64 and mesh.faces.dtype == np.int32
+
+
+def test_mean_edge_length_positions_must_be_n_by_3():
+    mesh = g.icosphere(1)
+    with pytest.raises(ValueError) as info:
+        g.mean_edge_length(mesh.vertices[:, :2], mesh.faces)
+    assert str(info.value) == "positions must be (n, 3), not (42, 2)"
+    with pytest.raises(ValueError) as info:
+        g.mean_edge_length(mesh.vertices, mesh.faces.ravel())
+    assert str(info.value) == "faces must be (n, 3), not (240,)"
+
+
+@pytest.mark.parametrize("faces, message", [
+    ([[0, 1, -2]], "face index -2 outside valid range 0..41"),
+    ([[0, 1, 99]], "face index 99 outside valid range 0..41"),
+    ([[0, 1, 2.5]], "face index 2.5 is not an integer"),
+    ([[0, 1, np.nan]], "face index nan outside valid range 0..41"),
+])
+def test_mean_edge_length_checks_raw_faces(faces, message):
+    positions = g.icosphere(1).vertices
+    with pytest.raises(FaceIndexError) as info:
+        g.mean_edge_length(positions, faces)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("faces, message", [
+    ([[0, 1, -2]], "face index -2 outside valid range >= 0"),
+    ([[0, 1, 2.5]], "face index 2.5 is not an integer"),
+    ([[0, 1, np.inf]], "face index inf outside valid range >= 0"),
+])
+def test_unique_edges_checks_raw_faces(faces, message):
+    with pytest.raises(FaceIndexError) as info:
+        unique_edges(np.array(faces))
+    assert str(info.value) == message
+
+
+def test_raw_faces_may_repeat_a_vertex():
+    positions = g.icosphere(1).vertices
+    faces = np.array([[0, 1, 1]])
+    assert unique_edges(faces).tolist() == [[0, 1], [1, 1]]
+    assert unique_edges(faces.astype(np.float64)).tolist() == [[0, 1], [1, 1]]
+    half = np.linalg.norm(positions[0] - positions[1]) / 2
+    assert g.mean_edge_length(positions, faces) == pytest.approx(half, rel=1e-12)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mean_edge_length_names_a_non_finite_vertex(value):
+    mesh = g.icosphere(1)
+    positions = mesh.vertices.copy()
+    positions[7, 2] = value
+    with pytest.raises(NonFiniteError) as info:
+        g.mean_edge_length(positions, mesh.faces)
+    assert str(info.value) == "vertex 7 has a non-finite coordinate"

@@ -239,3 +239,13 @@ def test_metrics_report_noisy_positive():
     assert report.kld > 0.0
     assert report.d_mean > 0.0
     assert report.d_mean <= report.d_max
+
+
+@pytest.mark.parametrize("edges", [[-1.0, 1.0], [-1.0, 0.0, 0.0, 1.0], [1.0, 0.0, -1.0]])
+def test_histogram_rejects_bad_bin_edges(edges):
+    """Too few edges for two bins, or edges not strictly ascending."""
+    field = g.CurvatureField(curvature=np.array([-0.5, 0.5]), ring_area=np.ones(2),
+                             deficit=np.zeros(2), is_boundary=np.zeros(2, dtype=bool))
+    with pytest.raises(ValueError) as info:
+        curvature_histogram(field, bin_edges=edges)
+    assert str(info.value) == "bin_edges must be ascending with >= 3 entries"
