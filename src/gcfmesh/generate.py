@@ -15,6 +15,7 @@ and face order of a per-element walk.
 
 from __future__ import annotations
 
+import inspect
 import numbers
 
 import numpy as np
@@ -198,7 +199,13 @@ _GENERATORS = {
 
 
 def generate_mesh(kind: str, **params) -> TriangleMesh:
-    """Dispatch to a generator by kind name; see the individual functions."""
+    """Dispatch to a generator by kind name; see the individual functions.
+    ValueError for an unknown kind or a parameter the kind does not take."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown mesh kind {kind!r}; choose from {sorted(_GENERATORS)}")
-    return _GENERATORS[kind](**params)
+    make = _GENERATORS[kind]
+    taken = inspect.signature(make).parameters
+    for name in params:
+        if name not in taken:
+            raise ValueError(f"{kind} takes no parameter {name!r}")
+    return make(**params)

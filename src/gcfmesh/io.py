@@ -112,17 +112,17 @@ class _Columns:
         self._quality = None if quality is None else array("d")
         self._colors = None if rgb is None else array("q")
 
-    def route(self, lines, key, count):
-        """Route the (text, lineno) lines of `lines.numbered` as `key` says ("v",
-        "f", None for each row's first token, any other to skip them), flush,
-        and return how many were blank or `#` comments. A face row holds its
+    def route(self, numbered, key, count):
+        """Route the (text, lineno) lines of `numbered` as `key` says ("v", "f",
+        None for each row's first token, any other to skip them), flush, and
+        return how many were blank or `#` comments. A face row holds its
         index count in column `count` (OBJ: the `f`), then the indices."""
         width = self._width
         get_xyz, get_quality, get_rgb = (at and itemgetter(*at) for at in self._layout)
         xyz, quality, rgb, vertex_lines = self.xyz, self.quality, self.rgb, self.vertex_lines
         counts, spans, indices, face_lines = self.counts, self.spans, self.indices, self.face_lines
-        skipped, short = 0, None
-        for text, lineno in lines.numbered:
+        skipped, short = 0, []
+        for text, lineno in numbered:
             tokens = text.split()
             if not tokens or tokens[0][0] == "#":
                 skipped += 1
@@ -130,7 +130,7 @@ class _Columns:
             kind = key or tokens[0]
             if kind == "f":
                 if len(tokens) <= count:
-                    short = lineno, f"face row without a count {tokens!r}"
+                    short = [(lineno, f"face row without a count {tokens!r}")]
                     break
                 counts.append(tokens[count])
                 spans.append(len(tokens) - count - 1)
@@ -138,7 +138,7 @@ class _Columns:
                 face_lines.append(lineno)
             elif kind == "v":
                 if len(tokens) < width:
-                    short = lineno, f"short vertex row {tokens!r}"
+                    short = [(lineno, f"short vertex row {tokens!r}")]
                     break
                 xyz += get_xyz(tokens)
                 if get_quality:
@@ -206,11 +206,11 @@ class _Columns:
         return (vertices.reshape(-1, 3), flat, sizes, quality,
                 None if colors is None else colors.reshape(-1, 3))
 
-    def flush(self, short=None):
-        """Convert and clear the pending rows. Raise ParseError on the first
-        bad one, or else on `short`, a (line, message) after them."""
-        bad = [e for e in (self.vertex_lines and self._vertex_rows(),
-                           self.face_lines and self._face_rows(), short) if e]
+    def flush(self, short=()):
+        """Convert and clear the pending rows, or raise ParseError on the first
+        line in file order that the row checks or `short` name as (line, message)."""
+        bad = [*(self.vertex_lines and self._vertex_rows()),
+               *(self.face_lines and self._face_rows()), *short]
         if bad:
             line, message = min(bad, key=itemgetter(0))
             raise ParseError(message, self.path, line)
@@ -219,40 +219,39 @@ class _Columns:
         self.counts, self.spans, self.indices, self.face_lines = [], [], [], []
 
     def _vertex_rows(self):
-        """Convert the pending vertex rows; (line, message) of the first bad, or None."""
-        errors, converted = [], []  # (row, message) of the first bad row of each column
+        """Convert the pending vertex rows, or list each column's first bad (line, message)."""
+        errors, converted, lines = [], [], self.vertex_lines
         for tokens, out, what in ((self.xyz, self._vertices, "vertex"),
                                   (self.quality, self._quality, "quality"),
                                   (self.rgb, self._colors, "color")):
             if out is not None:
-                width = len(tokens) // len(self.vertex_lines)  # tokens a row
+                width = len(tokens) // len(lines)  # tokens a row
                 values, bad = _parse(tokens, np.dtype(out.typecode))
                 if bad is not None:
                     row = bad // width
-                    errors.append((row, f"bad {what} {tokens[row * width:(row + 1) * width]!r}"))
+                    errors.append((lines[row],
+                                   f"bad {what} {tokens[row * width:(row + 1) * width]!r}"))
                 outside = np.flatnonzero((values < 0) | (values > 255)) if what == "color" else ()
                 if len(outside):
-                    errors.append((outside[0] // width, "color outside 0..255"))
+                    errors.append((lines[outside[0] // width], "color outside 0..255"))
                 converted.append((out, values))
-        if errors:
-            row, message = min(errors, key=itemgetter(0))
-            return self.vertex_lines[row], message
-        for out, values in converted:
-            out.frombytes(values.view(np.uint8))
+        if not errors:
+            for out, values in converted:
+                out.frombytes(values.view(np.uint8))
+        return errors
 
     def _face_rows(self):
-        """Convert the pending face rows; (line, message) of the first bad, or None."""
-        errors = []  # (row, message), in the order a per-row parse checks
+        """Convert the pending face rows, or list each check's first bad (line, message)."""
+        errors, lines = [], self.face_lines  # in the order a per-row parse checks
         counts, bad = _parse(self.spans if self._obj else self.counts, np.int64)
         if bad is not None:
-            errors.append((bad, f"bad index count {self.counts[bad]!r}"))
+            errors.append((lines[bad], f"bad index count {self.counts[bad]!r}"))
         spans = counts if self._obj else np.array(self.spans[:len(counts)], dtype=np.int64)
         short = np.flatnonzero((counts < 3) | (counts > spans))
+        rows = short[0] if short.size else len(counts)  # the rows with good counts
         if short.size:
-            row = short[0]
-            errors.append((row, f"face with {counts[row]} indices" if counts[row] < 3
-                           else f"face row short of its {counts[row]} indices"))
-        rows = min(row for row, _ in errors) if errors else len(counts)  # good counts
+            errors.append((lines[rows], f"face with {counts[rows]} indices" if counts[rows] < 3
+                           else f"face row short of its {counts[rows]} indices"))
         counts, spans = counts[:rows], spans[:rows]
         tokens = self.indices if rows == len(self.spans) else self.indices[:int(spans.sum())]
         if (counts != spans).any():  # columns after an index list are ignored
@@ -264,14 +263,13 @@ class _Columns:
             tokens = [t.partition("/")[0] for t in tokens]
             flat, bad = _parse(tokens, np.int64)
         if bad is not None:
-            errors.append((_row_of(counts, bad), f"bad face index {tokens[bad]!r}"))
+            errors.append((lines[_row_of(counts, bad)], f"bad face index {tokens[bad]!r}"))
         if self._obj:
             zero = np.flatnonzero(flat == 0)
             if zero.size:
-                errors.append((_row_of(counts, zero[0]), "face index 0 is not valid"))
+                errors.append((lines[_row_of(counts, zero[0])], "face index 0 is not valid"))
         if errors:
-            row, message = min(errors, key=itemgetter(0))
-            return self.face_lines[row], message
+            return errors
         if self._obj:
             negative = flat < 0  # counts back from the vertices read before its row
             if negative.any():
@@ -280,6 +278,7 @@ class _Columns:
             flat -= 1
         self._flat.frombytes(flat.view(np.uint8))
         self._sizes.frombytes(counts.view(np.uint8))
+        return []
 
 
 def _detect_format(path: Path) -> str:
@@ -368,8 +367,7 @@ def _read_rows(lines, columns, sections):
             kind, head, n, text = _cut(text, key, left)
             first, skipped = lines.lineno + 1, 0
             if kind not in ("v", "f") or not columns.regular(first, head, n, kind, at, whole):
-                lines.numbered = zip(head.split("\n"), count(first))
-                skipped = columns.route(lines, key, at)
+                skipped = columns.route(zip(head.split("\n"), count(first)), key, at)
             lines.lineno, left, whole = lines.lineno + n, left - n + skipped, False
 
 

@@ -352,11 +352,12 @@ def _check_match(positions, topology, faces=None):
     """CountMismatch unless `positions` (or a coloring's color_of) has a row
     per topology vertex; ConnectivityMismatch unless `faces`, if given, match.
     Only `topology.vertex_count` and `topology.faces` are read, so a mesh
-    can stand in for its topology."""
+    can stand in for its topology: the messages then name "the reference"."""
+    what = "topology" if isinstance(topology, MeshTopology) else "reference"
     if len(positions) != topology.vertex_count:
-        raise CountMismatch(f"{len(positions)} vertices, {topology.vertex_count} in the topology")
+        raise CountMismatch(f"{len(positions)} vertices, {topology.vertex_count} in the {what}")
     if not (faces is None or faces is topology.faces or np.array_equal(faces, topology.faces)):
-        raise ConnectivityMismatch("the mesh's faces are not the topology's")
+        raise ConnectivityMismatch(f"the mesh's faces are not the {what}'s")
 
 
 def _n_by_3(name, values):
@@ -399,17 +400,24 @@ def _movable(topology: MeshTopology) -> np.ndarray:
     return ~topology.is_boundary & topology.is_manifold_fan
 
 
+_KEYED = 3037000499  # isqrt(2**63): n up to this keeps every key min*n + max < n*n in int64
+
+
 def unique_edges(faces: np.ndarray, return_counts: bool = False):
     """Undirected edge set of a face array, each edge once (sorted index pairs).
 
     Each edge is keyed as min*n + max in int64, so sorted keys give the
     lexicographic order of a row-wise unique of the index pairs. The keys
     are sorted in place and each run of equal keys is one edge and its
-    count, which is what np.unique returns.
+    count, which is what np.unique returns. FaceIndexError for an index
+    above 3037000498, whose keys would overflow.
     """
     faces = _face_indices(faces)
     f = len(faces)
     n = int(faces.max()) + 1 if faces.size else 1
+    if n > _KEYED:
+        raise FaceIndexError(
+            f"face index {n - 1} above {_KEYED - 1}, the largest an int64 edge key holds")
     keys = np.empty(3 * f, dtype=np.int64)
     for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
         side = keys[k * f:(k + 1) * f]

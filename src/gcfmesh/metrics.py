@@ -16,8 +16,7 @@ import numpy as np
 
 from .curvature import CurvatureField, _block_normals, curvature_field, \
     gaussian_curvature_energy
-from .errors import ConnectivityMismatch, CountMismatch, EdgeMismatch, \
-    EmptyFieldError, TraceTooShort
+from .errors import ConnectivityMismatch, EdgeMismatch, EmptyFieldError, TraceTooShort
 from .mesh import TriangleMesh, _angle, _check_count, _check_match, _gather, _norm, \
     build_topology, unique_edges
 
@@ -73,11 +72,9 @@ def msae(processed: TriangleMesh, original: TriangleMesh) -> float:
 
 
 def vertex_distances(a: TriangleMesh, b: TriangleMesh):
-    """(mean, max) Euclidean distance between index-corresponding vertices."""
-    if a.vertex_count != b.vertex_count:
-        raise CountMismatch(
-            f"vertex counts differ: {a.vertex_count} vs {b.vertex_count}"
-        )
+    """(mean, max) Euclidean distance between index-corresponding vertices;
+    CountMismatch unless `a` has a vertex per vertex of `b`, the reference."""
+    _check_match(a.vertices, b)
     d = _norm(a.vertices - b.vertices)
     return float(d.mean()), float(d.max())
 

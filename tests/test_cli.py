@@ -42,6 +42,16 @@ def test_gen_bad_length_exit_code(tmp_path, capsys, shape):
     assert f"{option[2:]} must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [("grid", "--subdiv", "2", "subdivisions"),
+                                   ("icosphere", "--segments", "5", "segments")])
+def test_gen_parameter_the_kind_does_not_take_exit_code(tmp_path, capsys, shape):
+    kind, option, value, name = shape
+    out = tmp_path / "m.obj"
+    assert run("gen", "--kind", kind, option, value, "-o", out) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {kind} takes no parameter {name!r}\n"
+
+
 def test_filter_grid_fixed_point(tmp_path):
     grid_path = tmp_path / "grid.obj"
     out_path = tmp_path / "out.obj"

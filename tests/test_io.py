@@ -256,6 +256,10 @@ _PLY_TRIANGLE_HEAD = ("ply\nformat ascii 1.0\nelement vertex 3\nproperty double 
     pytest.param(_PLY_TRIANGLE_HEAD + "element face 1\nproperty int a\nend_header\n"
                  "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n", "face element lacks a list property", 9,
                  id="face-without-a-list"),
+    pytest.param("ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                 "property double y\nelement face 1\nproperty list uchar int vertex_indices\n"
+                 "end_header\n0 0\n1 0\n0 1\n3 0 1 2\n", "vertex element lacks x/y/z", 8,
+                 id="vertex-without-z"),
 ])
 def test_ply_error_paths_name_their_line(tmp_path, text, message, line):
     p = tmp_path / "bad.ply"

@@ -307,11 +307,27 @@ def test_mean_edge_length_checks_raw_faces(faces, message):
     ([[0, 1, -2]], "face index -2 outside valid range >= 0"),
     ([[0, 1, 2.5]], "face index 2.5 is not an integer"),
     ([[0, 1, np.inf]], "face index inf outside valid range >= 0"),
+    # an edge key min * n + max, n the largest index + 1, overflows int64 above 3037000498
+    ([[3037000499] * 3], "face index 3037000499 above 3037000498, "
+     "the largest an int64 edge key holds"),
+    ([[3037000498, 3037000499, 3037000500]], "face index 3037000500 above 3037000498, "
+     "the largest an int64 edge key holds"),
 ])
 def test_unique_edges_checks_raw_faces(faces, message):
     with pytest.raises(FaceIndexError) as info:
         unique_edges(np.array(faces))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("face, edges", [
+    ([3037000496, 3037000497, 3037000498], [[3037000496, 3037000497],
+                                            [3037000496, 3037000498],
+                                            [3037000497, 3037000498]]),
+    ([3037000498] * 3, [[3037000498, 3037000498]]),
+    ([0, 3037000498, 3037000498], [[0, 3037000498], [3037000498, 3037000498]]),
+])
+def test_unique_edges_keys_the_largest_index_that_fits(face, edges):
+    assert unique_edges(np.array([face])).tolist() == edges
 
 
 def test_raw_faces_may_repeat_a_vertex():

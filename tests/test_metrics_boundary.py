@@ -108,9 +108,23 @@ def test_a_count_mismatch_comes_before_a_face_mismatch(reference):
     n = reference.vertex_count
     extra = TriangleMesh(np.vstack([reference.vertices, [[5.0, 5.0, 5.0]]]),
                          reference.faces[:, ::-1])
-    with pytest.raises(CountMismatch, match=f"^{n + 1} vertices, {n} in the topology$"):
+    with pytest.raises(CountMismatch, match=f"^{n + 1} vertices, {n} in the reference$"):
         g.metrics_report(extra, reference)
     with pytest.raises(ConnectivityMismatch,
-                       match="^the mesh's faces are not the topology's$"):
+                       match="^the mesh's faces are not the reference's$"):
         g.metrics_report(TriangleMesh(reference.vertices, reference.faces[:, ::-1]),
                          reference)
+
+
+def test_the_pairing_rule_names_what_it_checked_against():
+    """A topology is named as one; a mesh standing in for it is the reference."""
+    mesh = g.icosphere(1)
+    n, topology = mesh.vertex_count, g.build_topology(mesh)
+    extra = TriangleMesh(np.vstack([mesh.vertices, [[5.0, 5.0, 5.0]]]), mesh.faces)
+    flipped = TriangleMesh(mesh.vertices, mesh.faces[:, ::-1])
+    with pytest.raises(CountMismatch, match=f"^{n + 1} vertices, {n} in the topology$"):
+        g.gaussian_curvature(extra, topology)
+    with pytest.raises(ConnectivityMismatch, match="^the mesh's faces are not the topology's$"):
+        g.gaussian_curvature(flipped, topology)
+    with pytest.raises(CountMismatch, match=f"^{n + 1} vertices, {n} in the reference$"):
+        g.vertex_distances(extra, mesh)

@@ -147,6 +147,17 @@ def test_generate_mesh_dispatch():
         g.generate_mesh("torus")
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("grid", {"subdivisions": 2}, "subdivisions"),
+    ("icosphere", {"segments": 5}, "segments"),
+    ("cube", {"resolution": 2, "spacing": 1.0}, "spacing"),
+])
+def test_generate_mesh_names_a_parameter_its_kind_does_not_take(kind, params, name):
+    with pytest.raises(ValueError) as info:
+        g.generate_mesh(kind, **params)
+    assert str(info.value) == f"{kind} takes no parameter {name!r}"
+
+
 def test_grid_mean_edge_length():
     stats = mesh_stats(g.grid(4))
     edges = unique_edges(g.grid(4).faces)
